@@ -32,7 +32,9 @@ double ms_since(Clock::time_point start) {
 bool is_near_integral(const Demand& d) {
   for (const auto& [pair, value] : d.entries()) {
     const double rounded = std::round(value);
-    if (rounded < 0.5 || std::abs(value - rounded) > 1e-6) return false;
+    if (rounded < 0.5 || std::abs(value - rounded) > kIntegralTolerance) {
+      return false;
+    }
   }
   return true;
 }
@@ -273,12 +275,16 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
     paths_->begin_reinstall();
   } else {
     paths_.emplace(*graph_);
-    // Fresh store: any pooled refs point into the OLD arena, whose offsets
-    // could alias the new one's — retire them outright (the reinstall
-    // branch instead retires via the compaction remap below, where dead
-    // offsets can never alias because sampling appends past the old end).
-    if (warm_state_) warm_state_->columns.clear();
   }
+  // An arena that is empty before sampling ends up holding only the new
+  // slabs, all live and laid end to end, so compaction would be the
+  // identity and is skipped. No pooled column can point into an empty
+  // arena, and a fresh store's offsets could alias an old one's, so the
+  // column pool is retired outright (otherwise the compaction remap below
+  // retires dead refs; they cannot alias because sampling appends past the
+  // old end).
+  const bool arena_was_empty = paths_->store().arena_size() == 0;
+  if (arena_was_empty && warm_state_) warm_state_->columns.clear();
   if (!(spec.pairs.empty() && !spec.all_pairs)) {  // else: explicit empty
     std::vector<std::pair<int, int>> all;
     const std::vector<std::pair<int, int>>* pairs = &spec.pairs;
@@ -294,13 +300,17 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
                               *paths_);
     }
   }
-  PathRemap remap;
-  paths_->compact_store(&remap);
-  // Carry the column pool across the reinstall: surviving refs rewrite
-  // through the remap, dropped ones retire their pair's entry. The
-  // edge-level warm seed is untouched — it is version-insensitive to path
-  // churn — but the replay snapshot is retired via the version bump.
-  if (warm_state_) warm_state_->columns.apply_remap(remap);
+  if (!arena_was_empty) {
+    const obs::TraceSpan compact_span("compact", "install");
+    PathRemap remap;
+    paths_->compact_store(&remap);
+    // Carry the column pool across the reinstall: surviving refs rewrite
+    // through the remap, dropped ones retire their pair's entry. The
+    // edge-level warm seed is untouched — it is version-insensitive to
+    // path churn — but the replay snapshot is retired via the version
+    // bump.
+    if (warm_state_) warm_state_->columns.apply_remap(remap);
+  }
   ++paths_version_;
   sample_ms_ = ms_since(start);
   return *paths_;

@@ -27,33 +27,53 @@ std::optional<PathRef> PathRemap::try_remap(PathRef ref) const {
 }
 
 PathRef PathStore::intern(const Path& path) {
-  assert(g_ != nullptr && "PathStore::intern requires a bound graph");
+  const std::size_t paths_before = num_paths_;
+  // extend() resizes, so the vector's geometric growth still amortizes a
+  // long run of single interns.
+  const std::int64_t offset = extend(slab_ints(hop_count(path)), 1);
+  try {
+    return write_slab(offset, path);
+  } catch (...) {
+    truncate(static_cast<std::size_t>(offset), paths_before);
+    throw;
+  }
+}
+
+std::int64_t PathStore::extend(std::size_t ints, std::size_t paths) {
+  const std::size_t end = data_.size();
+  data_.resize(end + ints);
+  num_paths_ += paths;
+  return static_cast<std::int64_t>(end);
+}
+
+PathRef PathStore::write_slab(std::int64_t offset, const Path& path) {
+  assert(g_ != nullptr && "PathStore interning requires a bound graph");
   assert(!path.empty());
   const int hops = hop_count(path);
-  PathRef ref;
-  ref.offset = static_cast<std::int64_t>(data_.size());
-  ref.hops = hops;
-  // No reserve: exact-size reserve before every append would defeat the
-  // vector's geometric growth and make interning quadratic.
-  data_.insert(data_.end(), path.begin(), path.end());
+  assert(offset >= 0 && static_cast<std::size_t>(offset) + slab_ints(hops) <=
+                            data_.size());
+  int* slab = data_.data() + offset;
+  std::copy(path.begin(), path.end(), slab);
+  int* edges = slab + hops + 1;
   for (int i = 0; i < hops; ++i) {
-    const int e = g_->edge_between(path[static_cast<std::size_t>(i)],
-                                   path[static_cast<std::size_t>(i) + 1]);
+    const int u = path[static_cast<std::size_t>(i)];
+    const int v = path[static_cast<std::size_t>(i) + 1];
+    const int e = g_->edge_between(u, v);
     if (e < 0) {
       // Checked in release builds too: a -1 stored as an edge id would be
       // indexed as load[(size_t)-1] by the flat consumers — fail loudly at
       // insertion (e.g. merging a system built on a different graph)
       // instead of corrupting memory at route time.
-      data_.resize(static_cast<std::size_t>(ref.offset));
       std::ostringstream msg;
-      msg << "PathStore::intern: path vertices " << path[static_cast<std::size_t>(i)]
-          << " and " << path[static_cast<std::size_t>(i) + 1]
+      msg << "PathStore::intern: path vertices " << u << " and " << v
           << " are not adjacent in the bound graph";
       throw std::invalid_argument(msg.str());
     }
-    data_.push_back(e);
+    edges[i] = e;
   }
-  ++num_paths_;
+  PathRef ref;
+  ref.offset = offset;
+  ref.hops = hops;
   return ref;
 }
 

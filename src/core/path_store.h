@@ -75,17 +75,33 @@ class PathStore {
   /// when merging a path system built on a structurally different graph.
   PathRef intern(const Path& path);
 
+  /// Ints a slab of `hops` hops occupies: hops + 1 vertices, hops edges.
+  static constexpr std::size_t slab_ints(int hops) {
+    return 2 * static_cast<std::size_t>(hops) + 1;
+  }
+
+  /// Bulk interning, step 1: grows the arena by `ints` (zeroed) ints that
+  /// will hold `paths` slabs and returns the old end. The caller then
+  /// fills the new range with write_slab; the arena is never reallocated
+  /// in between, so disjoint slabs may be written from many threads.
+  std::int64_t extend(std::size_t ints, std::size_t paths);
+
+  /// Bulk interning, step 2: writes `path`'s slab at `offset` (inside a
+  /// range extend() returned), resolving each hop to its canonical edge id.
+  /// Throws std::invalid_argument, like intern, on a non-adjacent hop; the
+  /// caller rolls back with truncate.
+  PathRef write_slab(std::int64_t offset, const Path& path);
+
+  /// Drops every int at or past `size` and sets the path count to `paths`:
+  /// the rollback of an interning that failed part-way.
+  void truncate(std::size_t size, std::size_t paths) {
+    data_.resize(size);
+    num_paths_ = paths;
+  }
+
   /// Copies the slab behind `ref` from `other` (bound to the same graph)
   /// without re-resolving edges; returns the re-based ref.
   PathRef adopt(const PathStore& other, PathRef ref);
-
-  /// Pre-sizes the arena for `paths` paths spanning `edges` hops total
-  /// (each path of h hops occupies 2h + 1 ints, so the reservation is
-  /// 2 * edges + paths ints on top of the current size). Lets a warm-up
-  /// pass bound interning to one allocation.
-  void reserve(std::size_t paths, std::size_t edges) {
-    data_.reserve(data_.size() + 2 * edges + paths);
-  }
 
   /// Drops every path but keeps the arena's capacity — the degenerate
   /// (empty live set) compaction, used when NO existing ref survives a
@@ -118,6 +134,9 @@ class PathStore {
     const auto verts = vertices(ref);
     return Path(verts.begin(), verts.end());
   }
+
+  /// The whole arena, slab after slab, read-only (dumps and digests).
+  std::span<const int> arena() const { return data_; }
 
   std::size_t num_paths() const { return num_paths_; }
   std::size_t arena_size() const { return data_.size(); }

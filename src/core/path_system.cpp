@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <iterator>
 
 #include "graph/maxflow.h"
+#include "obs/trace.h"
 
 namespace sor {
 
@@ -22,6 +25,98 @@ void PathSystem::add_path(int s, int t, Path path) {
   list.push_back(std::move(path));
   ++total_paths_;
   sparsity_ = std::max(sparsity_, list.size());
+}
+
+namespace {
+
+/// body(0), ..., body(n - 1) on `pool`, or inline in index order without
+/// one; either way the caller's shared-nothing writes give one result.
+void for_each_index(util::ThreadPool* pool, std::size_t n,
+                    const std::function<void(std::size_t)>& body) {
+  if (pool) {
+    pool->parallel_for(n, body);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+  }
+}
+
+}  // namespace
+
+void PathSystem::add_paths(const std::vector<std::pair<int, int>>& pairs,
+                           std::vector<std::vector<Path>>&& paths,
+                           util::ThreadPool* pool) {
+  assert(paths.size() == pairs.size());
+  const bool bound = store_.graph() != nullptr;
+  std::vector<std::vector<PathRef>> pair_refs(bound ? pairs.size() : 0);
+  if (bound) {
+    const obs::TraceSpan span("intern", "install");
+    // One serial prefix sum over the slab sizes gives every pair the
+    // offset the add_path loop would give it; the arena then grows once.
+    const std::size_t size_before = store_.arena_size();
+    const std::size_t paths_before = store_.num_paths();
+    std::vector<std::int64_t> first(pairs.size());
+    std::size_t ints = 0;
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      first[i] = static_cast<std::int64_t>(size_before + ints);
+      for (const Path& path : paths[i]) {
+        ints += PathStore::slab_ints(hop_count(path));
+      }
+      count += paths[i].size();
+    }
+    store_.extend(ints, count);
+    try {
+      for_each_index(pool, pairs.size(), [&](std::size_t i) {
+        std::int64_t offset = first[i];
+        pair_refs[i].reserve(paths[i].size());
+        for (const Path& path : paths[i]) {
+          pair_refs[i].push_back(store_.write_slab(offset, path));
+          offset += static_cast<std::int64_t>(
+              PathStore::slab_ints(hop_count(path)));
+        }
+      });
+    } catch (...) {
+      store_.truncate(size_before, paths_before);
+      throw;
+    }
+  }
+
+  const obs::TraceSpan span("index", "install");
+  if (bound) refs_.reserve(refs_.size() + pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    std::vector<Path>& added = paths[i];
+    if (added.empty()) continue;
+    const auto [s, t] = pairs[i];
+#ifndef NDEBUG
+    assert(s != t);
+    for (const Path& path : added) {
+      assert(!path.empty() && path.front() == s && path.back() == t);
+      for (int v : path) {
+        assert((n_ == 0 || (v >= 0 && v < n_)) && "path vertex out of range");
+      }
+    }
+#endif
+    total_paths_ += added.size();
+    if (bound) {
+      auto& refs = refs_[pair_key(s, t)];
+      if (refs.empty()) {
+        refs = std::move(pair_refs[i]);
+      } else {
+        refs.insert(refs.end(), pair_refs[i].begin(), pair_refs[i].end());
+      }
+    }
+    // The end hint makes each insertion O(1) when pairs arrive sorted, as
+    // the samplers' pair lists usually do. Stored lists are never empty,
+    // so an empty one was just created.
+    auto& list = paths_.try_emplace(paths_.end(), pairs[i])->second;
+    if (list.empty()) {
+      list = std::move(added);
+    } else {
+      list.insert(list.end(), std::make_move_iterator(added.begin()),
+                  std::make_move_iterator(added.end()));
+    }
+    sparsity_ = std::max(sparsity_, list.size());
+  }
 }
 
 const std::vector<Path>& PathSystem::paths(int s, int t) const {
@@ -139,9 +234,10 @@ namespace {
 
 /// Shared fan-out skeleton of the two samplers: `draws(i)` paths for pair
 /// i, each pair on its own seed-split stream, results appended to `ps` in
-/// pair order. Pair-independent streams make the output thread-count
-/// invariant, and appending into a caller-owned system lets a service
-/// reinstall into the same arena it has been serving from.
+/// pair order by add_paths, which interns them on the same pool.
+/// Pair-independent streams make the output thread-count invariant, and
+/// appending into a caller-owned system lets a service reinstall into the
+/// same arena it has been serving from.
 template <typename DrawCount>
 void sample_pairs_into(const ObliviousRouting& routing,
                        const std::vector<std::pair<int, int>>& pairs,
@@ -151,25 +247,19 @@ void sample_pairs_into(const ObliviousRouting& routing,
          "sample_pairs_into requires a system bound to the routing's graph");
   std::vector<Rng> streams = rng.split(pairs.size());
   std::vector<std::vector<Path>> sampled(pairs.size());
-  auto sample_one = [&](std::size_t i) {
-    const auto [s, t] = pairs[i];
-    if (s == t) return;
-    const int count = draws(i);
-    sampled[i].reserve(static_cast<std::size_t>(count));
-    for (int k = 0; k < count; ++k) {
-      sampled[i].push_back(routing.sample_path(s, t, streams[i]));
-    }
-  };
-  if (pool) {
-    pool->parallel_for(pairs.size(), sample_one);
-  } else {
-    for (std::size_t i = 0; i < pairs.size(); ++i) sample_one(i);
+  {
+    const obs::TraceSpan span("sample", "install");
+    for_each_index(pool, pairs.size(), [&](std::size_t i) {
+      const auto [s, t] = pairs[i];
+      if (s == t) return;
+      const int count = draws(i);
+      sampled[i].reserve(static_cast<std::size_t>(count));
+      for (int k = 0; k < count; ++k) {
+        sampled[i].push_back(routing.sample_path(s, t, streams[i]));
+      }
+    });
   }
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    for (Path& path : sampled[i]) {
-      ps.add_path(pairs[i].first, pairs[i].second, std::move(path));
-    }
-  }
+  ps.add_paths(pairs, std::move(sampled), pool);
 }
 
 }  // namespace

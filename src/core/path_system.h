@@ -51,6 +51,18 @@ class PathSystem {
   /// debug builds every vertex is validated against num_vertices().
   void add_path(int s, int t, Path path);
 
+  /// Bulk add_path: appends paths[i] to pair pairs[i] for every i, leaving
+  /// the arena, refs(s, t) and paths(s, t) bit-identical to calling
+  /// add_path on each path in pair order. Each pair's slabs land at the
+  /// prefix-sum offset that loop would give them, so interning fans out
+  /// over `pool` (null = inline) with every pair writing its own range.
+  /// Pairs with no paths are skipped. A non-adjacent hop throws
+  /// std::invalid_argument (in every build type) and leaves the system,
+  /// and `paths`, exactly as they were.
+  void add_paths(const std::vector<std::pair<int, int>>& pairs,
+                 std::vector<std::vector<Path>>&& paths,
+                 util::ThreadPool* pool = nullptr);
+
   /// Candidate paths for a pair. A miss returns a reference to a single
   /// immutable program-wide empty list: no allocation, no per-instance
   /// state, safe to call concurrently on a const PathSystem.

@@ -23,13 +23,18 @@ struct IntegralSolution {
   double congestion = 0.0;
 };
 
+/// How far from the nearest positive integer a demand amount may sit and
+/// still count as integral: the engine's gate for running rounding and the
+/// check inside round_randomized use this one constant.
+inline constexpr double kIntegralTolerance = 1e-6;
+
 /// Exact congestion of an integral assignment (recomputes edge loads).
 double integral_congestion(const Graph& g, IntegralSolution& solution);
 
 /// Lemma 6.3 randomized rounding: each demand unit independently picks a
 /// candidate proportional to the fractional weights; the best of `trials`
-/// independent roundings is returned. Requires an integral demand (amounts
-/// are rounded to nearest integers).
+/// independent roundings is returned. Requires an integral demand: every
+/// amount within kIntegralTolerance of an integer, which it is rounded to.
 ///
 /// `seed_choices` (optional, warm start): per-commodity per-unit candidate
 /// indices from a previous epoch's integral solution. When non-null, one

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <sstream>
 
+#include "fault/sor_error.h"
 #include "graph/shortest_path.h"
 
 namespace sor {
@@ -35,15 +37,28 @@ SemiObliviousSolution assemble(const Graph& g,
   return solution;
 }
 
+/// The candidates of a demanded pair. A positive demand on a pair without
+/// candidates is a typed error in every build type: dropping it would
+/// report a congestion that ignores part of the demand.
+const std::vector<Path>& covered_candidates(const PathSystem& ps,
+                                            const Commodity& c) {
+  const auto& list = ps.paths(c.s, c.t);
+  if (c.amount > 0.0 && list.empty()) {
+    std::ostringstream msg;
+    msg << "route_fractional: demand pair (" << c.s << ", " << c.t
+        << ") has no candidate paths in the path system";
+    throw SorError(ErrorCode::kUninstalledPair, "route_fractional",
+                   msg.str());
+  }
+  return list;
+}
+
 std::vector<std::vector<Path>> gather_candidates(
     const PathSystem& ps, const std::vector<Commodity>& commodities) {
   std::vector<std::vector<Path>> paths;
   paths.reserve(commodities.size());
   for (const Commodity& c : commodities) {
-    const auto& list = ps.paths(c.s, c.t);
-    assert((c.amount <= 0.0 || !list.empty()) &&
-           "path system does not cover the demand support");
-    paths.push_back(list);
+    paths.push_back(covered_candidates(ps, c));
   }
   return paths;
 }
@@ -63,9 +78,7 @@ void route_fractional_into(const Graph& g, const PathSystem& ps,
   out.paths.resize(k);
   for (std::size_t j = 0; j < k; ++j) {
     const Commodity& c = out.commodities[j];
-    const auto& list = ps.paths(c.s, c.t);
-    assert((c.amount <= 0.0 || !list.empty()) &&
-           "path system does not cover the demand support");
+    const auto& list = covered_candidates(ps, c);
     out.paths[j].resize(list.size());
     for (std::size_t i = 0; i < list.size(); ++i) {
       out.paths[j][i].assign(list[i].begin(), list[i].end());

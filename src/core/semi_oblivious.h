@@ -32,7 +32,8 @@ struct SemiObliviousSolution {
 };
 
 /// Routes `d` over `ps` with the MWU engine. Every support pair of `d` must
-/// have at least one candidate path in `ps`.
+/// have at least one candidate path in `ps`; one without throws
+/// SorError{kUninstalledPair} (all three route_fractional* entry points).
 SemiObliviousSolution route_fractional(const Graph& g, const PathSystem& ps,
                                        const Demand& d,
                                        const MinCongestionOptions& options = {});

@@ -1,5 +1,6 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -135,21 +136,32 @@ std::vector<int> path_edge_ids(const Graph& g, const Path& path) {
 Path simplify_walk(const Path& walk) {
   Path out;
   if (walk.empty()) return out;
-  std::unordered_map<int, std::size_t> position;
+  // position[v] = index of v in `out`, or -1. Per thread, so concurrent
+  // samplers never share it; every entry this call sets is reset to -1
+  // before it returns, so the next call starts from a clean array. All
+  // allocation happens before the first entry is set.
+  thread_local std::vector<int> position;
+  const int max_vertex = *std::max_element(walk.begin(), walk.end());
+  assert(*std::min_element(walk.begin(), walk.end()) >= 0);
+  if (static_cast<std::size_t>(max_vertex) >= position.size()) {
+    position.resize(static_cast<std::size_t>(max_vertex) + 1, -1);
+  }
   out.reserve(walk.size());
   for (int v : walk) {
-    auto it = position.find(v);
-    if (it != position.end()) {
+    const int at = position[static_cast<std::size_t>(v)];
+    if (at >= 0) {
       // Cut the loop: drop everything after the first occurrence of v.
-      for (std::size_t i = it->second + 1; i < out.size(); ++i) {
-        position.erase(out[i]);
+      for (std::size_t i = static_cast<std::size_t>(at) + 1; i < out.size();
+           ++i) {
+        position[static_cast<std::size_t>(out[i])] = -1;
       }
-      out.resize(it->second + 1);
+      out.resize(static_cast<std::size_t>(at) + 1);
     } else {
-      position.emplace(v, out.size());
+      position[static_cast<std::size_t>(v)] = static_cast<int>(out.size());
       out.push_back(v);
     }
   }
+  for (int v : out) position[static_cast<std::size_t>(v)] = -1;
   return out;
 }
 

@@ -107,7 +107,9 @@ std::vector<int> path_edge_ids(const Graph& g, const Path& path);
 /// Removes cycles from a vertex walk, producing a simple path with the same
 /// endpoints: whenever a vertex repeats, the loop between its occurrences is
 /// cut out. The input need not be simple but consecutive vertices must be
-/// adjacent; the output is then a valid simple path.
+/// adjacent; the output is then a valid simple path. O(walk length) with no
+/// hashing: a per-thread array indexed by vertex id (ids must be >= 0)
+/// holds each kept vertex's position.
 Path simplify_walk(const Path& walk);
 
 /// Concatenates two walks where `first.back() == second.front()`.

@@ -19,7 +19,9 @@
 //    (string literals at every call site); records store the pointers.
 //
 // Span taxonomy (category.name) — see docs/observability.md for the table:
-//   engine.build / engine.install / engine.route / engine.optimum /
+//   engine.build / engine.install (children install.sample /
+//   install.intern / install.index / install.compact) / engine.route /
+//   engine.optimum /
 //   engine.rounding / engine.sim / engine.rebuild, batch.batch,
 //   scenario.epoch, warm.replay / warm.seed / warm.cold / warm.capture;
 //   instant events runtime.scratch_mint, scale.agg_table_grow,

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "graph/generators.h"
@@ -173,6 +174,38 @@ TEST(SorEngine, EmptyDemandSamplingIsANoOpNotAllPairs) {
   EXPECT_EQ(ps.num_pairs(), 0u);
   // The explicit default still means all pairs.
   EXPECT_GT(engine.install_paths({.alpha = 1}).num_pairs(), 0u);
+}
+
+TEST(SorEngine, FreshInstallArenaIsAlreadyCompact) {
+  // The install skips compaction when the arena was empty before sampling;
+  // that is sound only if compacting would change nothing, whatever the
+  // order of the pairs (unsorted, duplicated, s == t).
+  SorEngine engine = SorEngine::build(gen::hypercube(4), "valiant", 2);
+  SamplingSpec spec{.alpha = 3};
+  spec.pairs = {{9, 3}, {0, 1}, {9, 3}, {7, 7}, {2, 14}, {0, 1}};
+  for (int install = 0; install < 2; ++install) {
+    SCOPED_TRACE(install);
+    const PathSystem& installed = engine.install_paths(spec);
+    const auto arena = installed.store().arena();
+    std::size_t live_ints = 0;
+    for (const auto& [pair, list] : installed.entries()) {
+      for (PathRef ref : installed.refs(pair.first, pair.second)) {
+        live_ints += PathStore::slab_ints(ref.hops);
+      }
+    }
+    EXPECT_EQ(arena.size(), live_ints);
+    PathSystem copy = installed;
+    PathRemap remap;
+    EXPECT_EQ(copy.compact_store(&remap), 0u);
+    const auto compacted = copy.store().arena();
+    EXPECT_TRUE(std::equal(arena.begin(), arena.end(), compacted.begin(),
+                           compacted.end()));
+    for (const auto& [pair, list] : installed.entries()) {
+      for (PathRef ref : installed.refs(pair.first, pair.second)) {
+        EXPECT_EQ(remap(ref).offset, ref.offset);
+      }
+    }
+  }
 }
 
 TEST(SorEngine, LowerBoundCanBeSkippedForHotLoops) {

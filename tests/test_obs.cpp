@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -107,6 +108,50 @@ TEST(TraceRecorder, SetArgAttachesPayloadAtScopeExit) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_STREQ(events[0].arg_name, "count");
   EXPECT_EQ(events[0].arg, 42u);
+}
+
+/// Names of the recorded spans in category `cat`, in record order.
+std::vector<std::string> span_names(const char* cat) {
+  std::vector<std::string> names;
+  for (const obs::TraceEvent& e : obs::tracer().events()) {
+    if (!e.instant && std::string(e.cat) == cat) names.emplace_back(e.name);
+  }
+  return names;
+}
+
+TEST(TraceRecorder, InstallPhaseSpansAndCompactOnlyOnReinstall) {
+  TracerGuard guard;
+  SorEngine untraced = make_engine();
+  untraced.install_paths(SamplingSpec::for_demand(small_demand(), 3));
+
+  obs::tracer().enable(256);
+  SorEngine engine = make_engine();
+  engine.install_paths(SamplingSpec::for_demand(small_demand(), 3));
+  // A fresh arena is already compact: no compact span.
+  EXPECT_EQ(span_names("install"),
+            (std::vector<std::string>{"sample", "intern", "index"}));
+  std::uint64_t parent_start = 0, parent_end = 0;
+  for (const obs::TraceEvent& e : obs::tracer().events()) {
+    if (std::string(e.cat) == "engine" && std::string(e.name) == "install") {
+      parent_start = e.start_us;
+      parent_end = e.start_us + e.dur_us;
+    }
+  }
+  for (const obs::TraceEvent& e : obs::tracer().events()) {
+    if (std::string(e.cat) != "install") continue;
+    EXPECT_GE(e.start_us, parent_start);
+    EXPECT_LE(e.start_us + e.dur_us, parent_end);
+  }
+  // Tracing leaves the installed arena bit-identical.
+  const auto traced = engine.paths().store().arena();
+  const auto plain = untraced.paths().store().arena();
+  EXPECT_TRUE(std::equal(traced.begin(), traced.end(), plain.begin(),
+                         plain.end()));
+
+  obs::tracer().clear();
+  engine.install_paths(SamplingSpec::for_demand(small_demand(), 3));
+  EXPECT_EQ(span_names("install"),
+            (std::vector<std::string>{"sample", "intern", "index", "compact"}));
 }
 
 TEST(TraceRecorder, RingDropsNewestWhenFullAndCounts) {

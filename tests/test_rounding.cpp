@@ -39,6 +39,23 @@ TEST(Rounding, ChoicesMatchDemandUnits) {
   }
 }
 
+TEST(Rounding, AcceptsEveryAmountTheEngineCallsIntegral) {
+  // The engine rounds any demand within kIntegralTolerance of an integer;
+  // round_randomized must accept exactly those (checked when asserts are
+  // compiled in).
+  const Graph g = gen::grid(3, 4);
+  RandomShortestPathRouting routing(g);
+  Rng rng(4);
+  Demand d;
+  d.set(0, 11, 2.0 + 0.5 * kIntegralTolerance);
+  d.set(2, 9, 1.0 - 0.5 * kIntegralTolerance);
+  const auto fractional = routed_instance(g, routing, d, 3, rng);
+  const auto integral = round_randomized(g, fractional, rng, 2);
+  ASSERT_EQ(integral.choices.size(), 2u);
+  EXPECT_EQ(integral.choices[0].size(), 2u);
+  EXPECT_EQ(integral.choices[1].size(), 1u);
+}
+
 TEST(Rounding, CongestionIsConsistent) {
   const Graph g = gen::grid(4, 4);
   RandomShortestPathRouting routing(g);

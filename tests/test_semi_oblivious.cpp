@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "fault/sor_error.h"
 #include "graph/generators.h"
 #include "oblivious/shortest_path_routing.h"
 #include "oblivious/valiant.h"
@@ -20,6 +23,36 @@ TEST(SemiOblivious, SinglePairSinglePath) {
   const auto solution = route_fractional(g, ps, d);
   EXPECT_NEAR(solution.congestion, 3.0, 1e-9);
   EXPECT_EQ(solution.max_hops, 2);
+}
+
+TEST(SemiOblivious, UncoveredDemandPairIsATypedError) {
+  // A demanded pair without candidates must not be dropped silently in a
+  // release build: every route_fractional entry point throws the typed
+  // uninstalled-pair error instead.
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  PathSystem ps(g);
+  ps.add_path(0, 2, {0, 1, 2});
+  Demand d;
+  d.set(0, 2, 1.0);
+  d.set(2, 0, 1.0);  // no candidates installed for (2, 0)
+  try {
+    route_fractional(g, ps, d);
+    FAIL() << "route_fractional accepted an uncovered pair";
+  } catch (const SorError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUninstalledPair);
+    EXPECT_EQ(e.site(), "route_fractional");
+    EXPECT_NE(std::string(e.what()).find("(2, 0)"), std::string::npos);
+  }
+  EXPECT_THROW(route_fractional_exact(g, ps, d), SorError);
+  PathSystem unbound(3);
+  unbound.add_path(0, 2, {0, 1, 2});
+  EXPECT_THROW(route_fractional(g, unbound, d), SorError);
+  // The covered part alone routes.
+  Demand covered;
+  covered.set(0, 2, 1.0);
+  EXPECT_NO_THROW(route_fractional(g, ps, covered));
 }
 
 TEST(SemiOblivious, WeightsAreAFeasibleRouting) {

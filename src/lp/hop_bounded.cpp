@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <sstream>
+
+#include "fault/sor_error.h"
 
 namespace sor {
 namespace {
@@ -112,14 +115,10 @@ Path hop_bounded_shortest_path(const Graph& g, int s, int t, int max_hops,
 CongestionResult min_congestion_hop_bounded(
     const Graph& g, const std::vector<Commodity>& commodities, int max_hops,
     const MinCongestionOptions& options) {
-  // Reuse the restricted-path engine shape: implement MWU here with the
-  // hop-bounded oracle (cannot share the static helper without exposing it;
-  // the loop is small enough to restate via min_congestion_over_paths on
-  // lazily discovered paths).
-  //
-  // Column generation: maintain, per commodity, the set of hop-bounded
-  // paths discovered so far; alternate (a) best response against current
-  // edge weights via the DP, (b) a restricted MWU solve over the collected
+  // Column generation over the restricted solver: maintain, per commodity,
+  // the set of hop-bounded paths discovered so far; alternate (a) a best
+  // response against the current edge lengths via the layered DP, (b) a
+  // restricted MWU solve (min_congestion_over_paths) over the collected
   // columns. Few iterations suffice because each DP adds the currently
   // most violated column.
   const std::size_t k = commodities.size();
@@ -146,7 +145,14 @@ CongestionResult min_congestion_hop_bounded(
       if (commodities[j].amount <= 0.0) continue;
       Path p = hop_bounded_shortest_path(g, commodities[j].s,
                                          commodities[j].t, max_hops, lengths);
-      assert(!p.empty() && "commodity unreachable within the hop bound");
+      if (p.empty()) {
+        std::ostringstream msg;
+        msg << "min_congestion_hop_bounded: target " << commodities[j].t
+            << " is unreachable from source " << commodities[j].s
+            << " within " << max_hops << " hops";
+        throw SorError(ErrorCode::kMalformedDemand,
+                       "min_congestion_hop_bounded", msg.str());
+      }
       assert(hop_count(p) <= max_hops);
       std::vector<int> edges = path_edge_ids(g, p);
       double cost = 0.0;

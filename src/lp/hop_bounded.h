@@ -28,8 +28,9 @@ std::vector<double> hop_bounded_distances(const Graph& g, int source,
                                           const std::vector<double>& length);
 
 /// Fractional min-congestion over all routings with dilation <= max_hops —
-/// the paper's opt^(h) (fractional relaxation). Every commodity must be
-/// reachable within max_hops. `lower_bound` is the h-hop duality
+/// the paper's opt^(h) (fractional relaxation). A positive-amount
+/// commodity whose target is unreachable within max_hops throws
+/// SorError{kMalformedDemand}. `lower_bound` is the h-hop duality
 /// certificate (valid against all h-hop routings).
 CongestionResult min_congestion_hop_bounded(
     const Graph& g, const std::vector<Commodity>& commodities, int max_hops,

@@ -1,21 +1,27 @@
 // Min-congestion routing solvers.
 //
-// Two regimes, one engine:
+// One multiplicative-weights driver, two best-response oracles:
 //  * restricted: route each commodity over an explicit candidate-path set
-//    (Stage 4 of the semi-oblivious pipeline, Definition 5.1's cong_R(P, d)),
+//    (Stage 4 of the semi-oblivious pipeline, Definition 5.1's cong_R(P, d));
+//    the oracle is an argmin over the deduplicated candidates;
 //  * free: route over all paths of the graph — the offline optimum
-//    opt_{G,R}(d) the competitive ratio is measured against.
+//    opt_{G,R}(d) the competitive ratio is measured against; the oracle is
+//    a targeted Dijkstra per distinct source.
 //
-// Both are solved by multiplicative weights (Freund–Schapire) on the
-// zero-sum game "router picks a path per commodity, adversary picks an
-// edge", with the router best-responding to exponential edge weights. The
-// returned congestion is the *exact* congestion of the averaged routing (a
-// valid upper bound); `lower_bound` is an LP-duality certificate
+// Both are the Freund–Schapire game "router picks a path per commodity,
+// adversary picks an edge", with the router best-responding to exponential
+// edge weights. The driver (a file-local template in min_congestion.cpp,
+// instantiated on each oracle) owns everything else: the exp cache and the
+// normalization, warm seeds, the sparse load aggregation and log-weight
+// step, the dual certificate, convergence telemetry, anytime budgets with
+// best-prefix rewind, and the early exit. The returned congestion is the
+// *exact* congestion of the averaged routing (a valid upper bound);
+// `lower_bound` is an LP-duality certificate
 //     opt >= sum_j d_j * dist_w(s_j, t_j) / sum_e cap_e * w_e
 // so `congestion / lower_bound` bounds the solver's suboptimality.
 //
 // Exact reference solvers (dense simplex) are provided for small instances
-// and used by the tests to validate the MWU engine.
+// and used by the tests to validate the MWU driver.
 #pragma once
 
 #include <cstdint>
@@ -131,11 +137,14 @@ struct MinCongestionOptions {
   /// reads solver state, never writes it). Null (default) = no recording
   /// and no extra work.
   obs::ConvergenceSink* sink = nullptr;
-  /// Opt-in fast-math mode (default OFF). Replaces the reference loop's
+  /// Opt-in fast-math mode (default OFF). Replaces the exact mode's
   /// O(m)-per-round serial total-sum of the adversary weights with a
-  /// segmented accumulator sum — in the restricted solver the untouched-edge
-  /// mass is additionally folded as one (count * value) product, making the
-  /// round cost proportional to the demand footprint instead of to m.
+  /// segmented accumulator, in both solvers: the untouched-edge mass is
+  /// folded as one (count * value) product and the touched mass is summed
+  /// in four interleaved lanes, so the normalization no longer costs O(m)
+  /// (the restricted round cost becomes proportional to the demand
+  /// footprint; the free solver still refreshes all m lengths for
+  /// Dijkstra).
   ///
   /// Numerical contract (relaxes bit-identity, nothing else):
   ///  * every per-edge quantity (exp weights, loads, the final congestion
@@ -158,6 +167,8 @@ struct MinCongestionOptions {
   ///    on every supported instance (tests and bench_m5 enforce this band
   ///    plus cross-validity; observed differences are ~1e-3, i.e. one or
   ///    two flipped rounds out of hundreds).
+  /// The exact mode is the reference: fast-math outputs of either solver
+  /// may change between releases within this contract.
   bool fast_math = false;
 };
 
@@ -182,14 +193,34 @@ struct CongestionResult {
   double optimality_gap = 0.0;
 };
 
-/// Reusable scratch for the two MWU solvers below. Every vector a solve
-/// needs lives here and is reset with clear()/assign() (capacity retained),
-/// so a warm scratch makes repeated solves of stable shape allocation-free —
-/// the steady-state serving contract the runtime layer gates. Contents
-/// never influence results: a solve through a warm scratch is bit-identical
-/// to one through a fresh scratch (pinned by tests/test_runtime.cpp).
+/// Reusable scratch for the MWU driver and its two oracles. Every vector a
+/// solve needs lives here and is reset with clear()/assign() (capacity
+/// retained), so a warm scratch makes repeated solves of stable shape
+/// allocation-free — the steady-state serving contract the runtime layer
+/// gates. Contents never influence results: a solve through a warm scratch
+/// is bit-identical to one through a fresh scratch (pinned by
+/// tests/test_runtime.cpp).
 struct MinCongestionScratch {
-  // Restricted solver: dedup'd candidate scan arena.
+  // Driver state.
+  std::vector<double> cap;
+  std::vector<double> log_x;
+  std::vector<double> expv;
+  std::vector<double> lengths;
+  std::vector<double> cumulative_load;
+  std::vector<double> round_load;
+  std::vector<std::span<const int>> chosen_edges;
+  std::vector<double> chosen_len;
+  std::vector<int> touched;
+  std::vector<int> active;
+  std::vector<int> dirty;
+  std::vector<char> is_active;
+  std::vector<char> is_dirty;
+  // Anytime-budget best-iterate snapshots of the loads (driver) and the
+  // choice counts (restricted oracle); only written when a round cap /
+  // deadline budget is active.
+  std::vector<double> budget_load;
+  std::vector<int> budget_counts;
+  // Restricted oracle: dedup'd candidate scan arena.
   std::vector<int> scan_arena;
   std::vector<std::int64_t> scan_first;
   std::vector<std::int64_t> commodity_scan_first;
@@ -197,25 +228,7 @@ struct MinCongestionScratch {
   std::vector<int> counts;
   std::vector<int> cand_edges;
   std::vector<char> in_cand;
-  std::vector<std::span<const int>> chosen_edges;
-  // Shared MWU state.
-  std::vector<double> cap;
-  std::vector<double> log_x;
-  std::vector<double> expv;
-  std::vector<double> lengths;
-  std::vector<double> cumulative_load;
-  std::vector<double> round_load;
-  std::vector<double> chosen_len;
-  std::vector<int> touched;
-  // Anytime-budget best-iterate snapshots (only touched when a round cap /
-  // deadline budget is active; empty otherwise).
-  std::vector<double> budget_load;
-  std::vector<int> budget_counts;
-  std::vector<int> active;
-  std::vector<int> dirty;
-  std::vector<char> is_active;
-  std::vector<char> is_dirty;
-  // Free solver: counting-sorted source grouping + Dijkstra state.
+  // Free oracle: counting-sorted source grouping + Dijkstra state.
   std::vector<std::size_t> source_first;  // n + 2 prefix/cursor array
   std::vector<std::size_t> by_source;     // commodity indices, source-major
   std::vector<int> sources;
@@ -237,7 +250,8 @@ struct MinCongestionScratch {
 
 /// Fractional min-congestion routing of `commodities` where commodity j may
 /// only use `candidate_paths[j]`. Each candidate must be a valid s_j-t_j
-/// path; every commodity with amount > 0 needs >= 1 candidate.
+/// path; a commodity with amount > 0 and no candidate throws
+/// SorError{kUninstalledPair} (every build type).
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
     const std::vector<std::vector<Path>>& candidate_paths,
@@ -246,7 +260,7 @@ CongestionResult min_congestion_over_paths(
 /// Same solve over the flat, pre-resolved edge-id representation (the hot
 /// path: no hashing, no per-call edge resolution, contiguous iteration).
 /// `candidates` must hold one commodity entry per commodity, in order;
-/// every commodity with amount > 0 needs >= 1 candidate. Produces results
+/// the same SorError as above guards uncovered commodities. Produces results
 /// bit-identical to the vertex-sequence overload on the same candidates.
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
@@ -266,9 +280,9 @@ void min_congestion_over_paths_into(const Graph& g,
 
 /// Fractional min-congestion over ALL paths (the offline optimum, i.e. the
 /// maximum-concurrent-flow LP). Only congestion/lower_bound/edge_load are
-/// populated. Runs on the flat substrate: scratch-reusing Dijkstra best
-/// responses, incremental max_log/exp caching, and sparse touched-set load
-/// aggregation, all bit-identical to the reference MWU loop (pinned by
+/// populated. A positive-amount commodity whose target is unreachable from
+/// its source throws SorError{kMalformedDemand} (every build type). Exact
+/// mode is bit-identical to the reference MWU loop (pinned by
 /// tests/test_free_path_flat.cpp and bench_m5_free_path's legacy replica).
 CongestionResult min_congestion_free(
     const Graph& g, const std::vector<Commodity>& commodities,

@@ -17,11 +17,12 @@ class Tableau {
           std::vector<int> basis)
       : a_(std::move(a)), b_(std::move(b)), basis_(std::move(basis)) {}
 
-  /// Runs phase optimization for cost vector `cost` (size = #columns).
-  /// Returns false if unbounded.
-  bool optimize(const std::vector<double>& cost) {
+  /// Runs phase optimization for cost vector `cost` (size = #columns),
+  /// letting only columns below `num_entering` enter the basis. Returns
+  /// false if unbounded.
+  bool optimize(const std::vector<double>& cost, std::size_t num_entering) {
     const std::size_t m = a_.size();
-    const std::size_t n = cost.size();
+    const std::size_t n = num_entering;
     for (;;) {
       // Reduced costs: r_j = c_j - c_B . B^-1 A_j; with an explicit tableau
       // (A already transformed so basic columns are unit), this is
@@ -62,18 +63,31 @@ class Tableau {
   }
 
   /// Drives artificial variables (columns >= first_artificial) out of the
-  /// basis where possible; rows where that fails are redundant (all-zero).
+  /// basis where possible. Rows where that fails are redundant (zero in
+  /// every original and slack column) and are dropped: a basic artificial
+  /// left behind would feed rounding residue into every reduced cost of
+  /// phase 2 and can stall Bland's rule in a degenerate cycle.
   void purge_artificials(std::size_t first_artificial) {
-    const std::size_t m = a_.size();
-    for (std::size_t i = 0; i < m; ++i) {
-      if (static_cast<std::size_t>(basis_[i]) < first_artificial) continue;
+    for (std::size_t i = 0; i < a_.size();) {
+      if (static_cast<std::size_t>(basis_[i]) < first_artificial) {
+        ++i;
+        continue;
+      }
       // Find a non-artificial column with nonzero coefficient in this row.
-      for (std::size_t j = 0; j < first_artificial; ++j) {
+      bool pivoted = false;
+      for (std::size_t j = 0; j < first_artificial && !pivoted; ++j) {
         if (std::abs(a_[i][j]) > kEps) {
           pivot(i, j);
-          break;
+          pivoted = true;
         }
       }
+      if (pivoted) {
+        ++i;
+        continue;
+      }
+      a_.erase(a_.begin() + static_cast<std::ptrdiff_t>(i));
+      b_.erase(b_.begin() + static_cast<std::ptrdiff_t>(i));
+      basis_.erase(basis_.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
 
@@ -165,7 +179,7 @@ LpSolution solve(const LinearProgram& lp) {
   // Phase 1: minimize the sum of artificials.
   std::vector<double> phase1_cost(total_cols, 0.0);
   for (std::size_t i = 0; i < m; ++i) phase1_cost[first_artificial + i] = 1.0;
-  const bool phase1_bounded = tableau.optimize(phase1_cost);
+  const bool phase1_bounded = tableau.optimize(phase1_cost, total_cols);
   assert(phase1_bounded);
   (void)phase1_bounded;
   double artificial_sum = 0.0;
@@ -179,23 +193,18 @@ LpSolution solve(const LinearProgram& lp) {
   }
   tableau.purge_artificials(first_artificial);
 
-  // Phase 2: minimize c over original + slack columns (artificials pinned
-  // at zero by giving them a prohibitive cost).
+  // Phase 2: minimize c over original + slack columns. Every artificial is
+  // now non-basic at zero and may not re-enter.
   std::vector<double> phase2_cost(total_cols, 0.0);
   for (std::size_t j = 0; j < n; ++j) phase2_cost[j] = lp.objective[j];
-  double big = 1.0;
-  for (double c : lp.objective) big += std::abs(c);
-  for (std::size_t i = 0; i < m; ++i) {
-    phase2_cost[first_artificial + i] = big * 1e6;
-  }
-  if (!tableau.optimize(phase2_cost)) {
+  if (!tableau.optimize(phase2_cost, first_artificial)) {
     return LpSolution{LpStatus::kUnbounded, 0.0, {}};
   }
 
   LpSolution solution;
   solution.status = LpStatus::kOptimal;
   solution.x.assign(n, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
+  for (std::size_t i = 0; i < tableau.basis().size(); ++i) {
     const std::size_t col = static_cast<std::size_t>(tableau.basis()[i]);
     if (col < n) solution.x[col] = tableau.rhs()[i];
   }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "fault/sor_error.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "util/rng.h"
@@ -91,6 +92,23 @@ TEST_P(HopBoundedSweep, MonotoneInBound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HopBoundedSweep, ::testing::Range(0, 6));
+
+TEST(HopBoundedCongestion, UnreachableWithinBoundIsATypedError) {
+  // Path 0-1-2-3: the pair (0, 3) needs 3 hops.
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 3);
+  const std::vector<Commodity> demand = {{0, 3, 1.0}};
+  try {
+    min_congestion_hop_bounded(g, demand, 2);
+    FAIL() << "expected SorError";
+  } catch (const SorError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kMalformedDemand);
+    EXPECT_EQ(e.site(), "min_congestion_hop_bounded");
+  }
+  EXPECT_NEAR(min_congestion_hop_bounded(g, demand, 3).congestion, 1.0, 0.05);
+}
 
 TEST(HopBoundedCongestion, SinglePairOnTrap) {
   // Trap: direct edge (cap 1) + 2 detours of length 4 (cap 2 each).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/sor_error.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "util/rng.h"
@@ -88,6 +89,23 @@ TEST(MinCongestion, FreeExactOnDiamond) {
   EXPECT_NEAR(min_congestion_free_exact(g, demand), 1.0, 1e-6);
 }
 
+TEST(MinCongestion, FreeExactTerminatesWithRedundantConservationRows) {
+  // A tree with opposing commodities: each commodity's conservation rows
+  // sum to zero, so phase 1 leaves redundant rows behind. The simplex used
+  // to keep their artificials basic under a big-M cost and cycled forever
+  // in phase 2 on exactly this instance.
+  Graph g(5);
+  g.add_edge(0, 2, 0.57865062787394228);
+  g.add_edge(0, 4, 1.3550520603025531);
+  g.add_edge(1, 4, 0.75407908775768329);
+  g.add_edge(3, 2, 0.62130551202654849);
+  const std::vector<Commodity> demand = {
+      {3, 1, 2.33482}, {1, 3, 1.91885}, {3, 4, 1.15986}};
+  // Every commodity crosses edge (0, 2), the bottleneck of the only routing.
+  EXPECT_NEAR(min_congestion_free_exact(g, demand),
+              (2.33482 + 1.91885 + 1.15986) / 0.57865062787394228, 1e-9);
+}
+
 TEST(MinCongestion, FreeMwuSandwichedByDuality) {
   Rng rng(3);
   const Graph g = gen::erdos_renyi_connected(10, 0.35, rng);
@@ -111,6 +129,53 @@ TEST(MinCongestion, EmptyDemandIsZero) {
   EXPECT_DOUBLE_EQ(result.congestion, 0.0);
 }
 
+// ---------------------------------------------------------------------------
+// Simplex sandwiches: the dense-simplex LP optimum LP* shares no code with
+// the MWU driver, and every tier's certificate must bracket it,
+//   lower_bound <= LP* <= congestion.
+// ---------------------------------------------------------------------------
+
+struct Tier {
+  const char* name;
+  MinCongestionOptions options;
+};
+
+/// Cold, fast_math, round-budgeted and warm-seeded variants of `base`.
+std::vector<Tier> four_tiers(const MinCongestionOptions& base,
+                             const MwuWarmStart& warm) {
+  std::vector<Tier> tiers(4, Tier{"cold", base});
+  tiers[1].name = "fast_math";
+  tiers[1].options.fast_math = true;
+  tiers[2].name = "max_rounds=40";
+  tiers[2].options.budget.max_rounds = 40;
+  tiers[3].name = "warm";
+  tiers[3].options.warm = &warm;
+  return tiers;
+}
+
+void expect_sandwich(const CongestionResult& result, double lp_star,
+                     const char* tier) {
+  EXPECT_LE(result.lower_bound, lp_star + 1e-6) << tier;
+  EXPECT_LE(lp_star, result.congestion + 1e-6) << tier;
+}
+
+/// Random demand over a few pairs; candidates = 3 random shortest paths.
+void random_restricted_instance(const Graph& g,
+                                const ShortestPathSampler& sampler, Rng& rng,
+                                std::vector<Commodity>& demand,
+                                std::vector<std::vector<Path>>& paths) {
+  const int n = g.num_vertices();
+  for (int i = 0; i < 5; ++i) {
+    int s = rng.uniform_int(0, n - 1);
+    int t = rng.uniform_int(0, n - 1);
+    if (s == t) continue;
+    demand.push_back({s, t, 1.0 + rng.uniform_double() * 2.0});
+    std::vector<Path> cands;
+    for (int c = 0; c < 3; ++c) cands.push_back(sampler.sample(s, t, rng));
+    paths.push_back(std::move(cands));
+  }
+}
+
 class MwuVsSimplexSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(MwuVsSimplexSweep, RestrictedMwuNearExact) {
@@ -118,18 +183,9 @@ TEST_P(MwuVsSimplexSweep, RestrictedMwuNearExact) {
   const Graph g = gen::erdos_renyi_connected(12, 0.3, rng);
   ShortestPathSampler sampler(g);
 
-  // Random demand over a few pairs; candidates = 3 random shortest paths.
   std::vector<Commodity> demand;
   std::vector<std::vector<Path>> paths;
-  for (int i = 0; i < 5; ++i) {
-    int s = rng.uniform_int(0, 11);
-    int t = rng.uniform_int(0, 11);
-    if (s == t) continue;
-    demand.push_back({s, t, 1.0 + rng.uniform_double() * 2.0});
-    std::vector<Path> cands;
-    for (int c = 0; c < 3; ++c) cands.push_back(sampler.sample(s, t, rng));
-    paths.push_back(std::move(cands));
-  }
+  random_restricted_instance(g, sampler, rng, demand, paths);
   if (demand.empty()) return;
 
   const auto exact = min_congestion_over_paths_exact(g, demand, paths);
@@ -148,9 +204,105 @@ TEST_P(MwuVsSimplexSweep, RestrictedMwuNearExact) {
     for (double w : mwu.path_weights[j]) sum += w;
     EXPECT_NEAR(sum, demand[j].amount, 1e-6);
   }
+
+  // The warm tier is seeded from a different demand on the same graph.
+  std::vector<Commodity> other_demand;
+  std::vector<std::vector<Path>> other_paths;
+  random_restricted_instance(g, sampler, rng, other_demand, other_paths);
+  std::vector<double> captured;
+  MinCongestionOptions capture = options;
+  capture.capture_log_x = &captured;
+  min_congestion_over_paths(g, other_demand, other_paths, capture);
+  ASSERT_EQ(captured.size(), static_cast<std::size_t>(g.num_edges()));
+  const MwuWarmStart warm{captured, 1.0};
+  for (const Tier& tier : four_tiers(options, warm)) {
+    expect_sandwich(
+        min_congestion_over_paths(g, demand, paths, tier.options),
+        exact.congestion, tier.name);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MwuVsSimplexSweep, ::testing::Range(0, 10));
+INSTANTIATE_TEST_SUITE_P(Seeds, MwuVsSimplexSweep, ::testing::Range(0, 50));
+
+/// Random demand over a few pairs of a small connected graph.
+std::vector<Commodity> random_free_demand(int n, Rng& rng) {
+  std::vector<Commodity> demand;
+  for (int i = 0; i < 3; ++i) {
+    const int s = rng.uniform_int(0, n - 1);
+    int t = rng.uniform_int(0, n - 1);
+    if (s == t) t = (t + 1) % n;
+    demand.push_back({s, t, 0.5 + rng.uniform_double() * 2.0});
+  }
+  return demand;
+}
+
+class FreeMwuVsSimplexSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(FreeMwuVsSimplexSweep, EveryTierBracketsTheEdgeFlowLp) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 389 + 29);
+  const int n = 5 + GetParam() % 4;  // n in [5, 8]
+  const Graph base = gen::erdos_renyi_connected(n, 0.4, rng);
+  Graph g(n);
+  for (const Edge& e : base.edges()) {
+    g.add_edge(e.u, e.v, 0.5 + rng.uniform_double() * 2.0);
+  }
+  const auto demand = random_free_demand(n, rng);
+  const double lp_star = min_congestion_free_exact(g, demand);
+
+  std::vector<double> captured;
+  MinCongestionOptions capture;
+  capture.capture_log_x = &captured;
+  min_congestion_free(g, random_free_demand(n, rng), capture);
+  ASSERT_EQ(captured.size(), static_cast<std::size_t>(g.num_edges()));
+  const MwuWarmStart warm{captured, 1.0};
+  for (const Tier& tier : four_tiers(MinCongestionOptions{}, warm)) {
+    expect_sandwich(min_congestion_free(g, demand, tier.options), lp_star,
+                    tier.name);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FreeMwuVsSimplexSweep,
+                         ::testing::Range(0, 50));
+
+// ---------------------------------------------------------------------------
+// Input guards that hold in every build type (typed errors, not asserts).
+// ---------------------------------------------------------------------------
+
+TEST(MinCongestion, UncoveredCommodityIsATypedError) {
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  const std::vector<std::vector<Path>> paths = {{{0, 1}}, {}};
+  // A zero-amount commodity may have no candidates...
+  const std::vector<Commodity> idle = {{0, 1, 1.0}, {1, 2, 0.0}};
+  EXPECT_NO_THROW(min_congestion_over_paths(g, idle, paths));
+  // ...a positive one may not: dropping it would under-report congestion.
+  const std::vector<Commodity> demand = {{0, 1, 1.0}, {1, 2, 5.0}};
+  try {
+    min_congestion_over_paths(g, demand, paths);
+    FAIL() << "expected SorError";
+  } catch (const SorError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUninstalledPair);
+    EXPECT_EQ(e.site(), "min_congestion_over_paths");
+  }
+}
+
+TEST(MinCongestion, FreeUnreachableTargetIsATypedError) {
+  // Two components: 0-1 and 2-3.
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(2, 3);
+  const std::vector<Commodity> demand = {{0, 1, 1.0}, {0, 3, 2.0}};
+  try {
+    min_congestion_free(g, demand);
+    FAIL() << "expected SorError";
+  } catch (const SorError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kMalformedDemand);
+    EXPECT_EQ(e.site(), "min_congestion_free");
+  }
+  // The reachable part alone solves normally.
+  EXPECT_NEAR(min_congestion_free(g, {{0, 1, 1.0}}).congestion, 1.0, 1e-9);
+}
 
 }  // namespace
 }  // namespace sor

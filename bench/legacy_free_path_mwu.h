@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "graph/shortest_path.h"
+#include "legacy_dijkstra.h"
 #include "lp/min_congestion.h"
 
 namespace sor::legacy_free_path {
@@ -145,7 +146,8 @@ inline CongestionResult min_congestion_free(
       const auto& js = by_source[static_cast<std::size_t>(s)];
       if (js.empty()) continue;
       std::vector<int> parent_edge;
-      const auto dist = dijkstra(g, s, lengths, &parent_edge);
+      const auto dist =
+          legacy_dijkstra::dijkstra(g, s, lengths, &parent_edge);
       for (std::size_t j : js) {
         const int t = commodities[j].t;
         chosen_len[j] = dist[static_cast<std::size_t>(t)];

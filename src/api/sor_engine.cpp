@@ -127,7 +127,7 @@ SorEngine SorEngine::build(Graph graph, const BackendSpec& spec,
   engine.threads_ = threads;
   engine.graph_ = std::make_unique<Graph>(std::move(graph));
   // The engine's thread count flows into backend construction when the
-  // backend declares a "threads" knob the caller has not pinned himself
+  // backend declares a "threads" knob the caller has not pinned itself
   // (racke builds its per-wave trees concurrently, say). Results stay
   // thread-count invariant, so this is purely a wall-clock decision.
   BackendSpec effective = spec;

@@ -180,16 +180,16 @@ double distance_lower_bound(const Graph& g, const Demand& d,
     lengths[static_cast<std::size_t>(e)] = 1.0 / g.edge(e).capacity;
     denominator += 1.0;  // cap_e * w_e with w_e = 1/cap_e
   }
-  // One Dijkstra per distinct source in the support, into reused scratch
-  // (identical output to the allocating overload; see DijkstraScratch).
+  // One Dijkstra per distinct source in the support, into reused scratch.
   double numerator = 0.0;
   int current_source = -1;
   auto& dist = scratch.dist;
   dist.assign(static_cast<std::size_t>(g.num_vertices()), 0.0);
+  const FlatAdjacency& adj = scratch.adj.get(g);
   for (const auto& [pair, value] : d.entries()) {
     if (pair.first != current_source) {
       current_source = pair.first;
-      dijkstra_into(g, current_source, lengths, dist, {}, scratch.dijkstra);
+      dijkstra_into(adj, current_source, lengths, dist, {}, scratch.dijkstra);
     }
     numerator += value * dist[static_cast<std::size_t>(pair.second)];
   }

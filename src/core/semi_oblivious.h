@@ -101,11 +101,12 @@ OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,
 double distance_lower_bound(const Graph& g, const Demand& d);
 
 /// Reusable scratch for distance_lower_bound (lengths, one Dijkstra row,
-/// and the heap).
+/// the heap, and the graph's CSR snapshot, cached across calls).
 struct DistanceBoundScratch {
   std::vector<double> lengths;
   std::vector<double> dist;
   DijkstraScratch dijkstra;
+  FlatAdjacencyCache adj;
 };
 
 /// Scratch-threaded distance bound; identical result to the overload above.

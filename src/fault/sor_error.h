@@ -2,7 +2,8 @@
 //
 // Every recoverable failure the engine can hit while serving — malformed
 // demand entries, uninstalled pairs, stream read/truncation errors, bad
-// capacities, scratch-arena allocation failure, worker faults — is thrown
+// capacities, scratch-arena allocation failure, worker faults, a
+// disconnected graph under a tree backend — is thrown
 // as a SorError carrying a stable {code, site, detail} triple. The scale
 // and scenario layers dispatch on `code` (BatchSpec::on_error,
 // scenario DegradePolicy) instead of string-matching what().
@@ -29,6 +30,7 @@ enum class ErrorCode {
   kScratchAlloc = 5,     ///< scratch-arena acquisition failed
   kWorkerFault = 6,      ///< exception inside a route_batch worker
   kInstallFault = 7,     ///< Stage 2 (install_paths) failed
+  kInfiniteDistance = 8, ///< a backend's metric has a non-finite distance
 };
 
 inline const char* error_code_name(ErrorCode code) {
@@ -41,6 +43,7 @@ inline const char* error_code_name(ErrorCode code) {
     case ErrorCode::kScratchAlloc: return "scratch_alloc";
     case ErrorCode::kWorkerFault: return "worker_fault";
     case ErrorCode::kInstallFault: return "install_fault";
+    case ErrorCode::kInfiniteDistance: return "infinite_distance";
   }
   return "unknown";
 }

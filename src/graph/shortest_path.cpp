@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <utility>
 
 namespace sor {
@@ -39,52 +38,6 @@ std::vector<std::vector<int>> all_pairs_hop_distances(const Graph& g) {
   return dist;
 }
 
-void dijkstra_into(const Graph& g, int source,
-                   const std::vector<double>& length, std::span<double> dist,
-                   std::span<int> parent_edge, DijkstraScratch& scratch) {
-  assert(static_cast<int>(length.size()) == g.num_edges());
-  assert(static_cast<int>(dist.size()) == g.num_vertices());
-  assert(parent_edge.empty() ||
-         static_cast<int>(parent_edge.size()) == g.num_vertices());
-  const double inf = std::numeric_limits<double>::infinity();
-  std::fill(dist.begin(), dist.end(), inf);
-  std::fill(parent_edge.begin(), parent_edge.end(), -1);
-  // A min-heap over (dist, vertex) run directly with push_heap/pop_heap on
-  // the reused scratch vector — the exact operation sequence of a
-  // std::priority_queue with std::greater, minus its per-call allocation.
-  using Item = std::pair<double, int>;
-  std::vector<Item>& heap = scratch.heap;
-  heap.clear();
-  dist[static_cast<std::size_t>(source)] = 0.0;
-  heap.emplace_back(0.0, source);
-  while (!heap.empty()) {
-    const auto [d, v] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), std::greater<Item>{});
-    heap.pop_back();
-    if (d > dist[static_cast<std::size_t>(v)]) continue;
-    for (int e : g.incident(v)) {
-      assert(length[static_cast<std::size_t>(e)] >= 0.0);
-      const int w = g.edge(e).other(v);
-      const double nd = d + length[static_cast<std::size_t>(e)];
-      if (nd < dist[static_cast<std::size_t>(w)]) {
-        dist[static_cast<std::size_t>(w)] = nd;
-        if (!parent_edge.empty()) {
-          parent_edge[static_cast<std::size_t>(w)] = e;
-        }
-        heap.emplace_back(nd, w);
-        std::push_heap(heap.begin(), heap.end(), std::greater<Item>{});
-      }
-    }
-  }
-}
-
-void dijkstra_into(const Graph& g, int source,
-                   const std::vector<double>& length, std::span<double> dist,
-                   std::span<int> parent_edge) {
-  DijkstraScratch scratch;
-  dijkstra_into(g, source, length, dist, parent_edge, scratch);
-}
-
 FlatAdjacency::FlatAdjacency(const Graph& g) {
   const int n = g.num_vertices();
   first_.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -112,6 +65,17 @@ FlatAdjacency::FlatAdjacency(const Graph& g) {
       last_seen_at[static_cast<std::size_t>(arc.to)] = v;
     }
   }
+}
+
+const FlatAdjacency& FlatAdjacencyCache::get(const Graph& g) {
+  if (!adj_ || graph_ != &g || vertices_ != g.num_vertices() ||
+      edges_ != g.num_edges()) {
+    adj_.emplace(g);
+    graph_ = &g;
+    vertices_ = g.num_vertices();
+    edges_ = g.num_edges();
+  }
+  return *adj_;
 }
 
 std::vector<int> path_edge_ids(const FlatAdjacency& adj, const Graph& g,
@@ -204,16 +168,16 @@ inline HeapItem heap4_pop(std::vector<HeapItem>& a) {
 
 }  // namespace
 
-void dijkstra_into_targets(const FlatAdjacency& adj, int source,
-                           const std::vector<double>& length,
-                           std::span<double> dist, std::span<int> parent_edge,
-                           DijkstraScratch& scratch,
-                           const std::vector<char>& is_target,
-                           int num_targets) {
+void dijkstra_into(const FlatAdjacency& adj, int source,
+                   const std::vector<double>& length, std::span<double> dist,
+                   std::span<int> parent_edge, DijkstraScratch& scratch,
+                   std::span<const char> is_target, int num_targets) {
   assert(static_cast<int>(dist.size()) == adj.num_vertices());
   assert(parent_edge.empty() ||
          static_cast<int>(parent_edge.size()) == adj.num_vertices());
-  assert(static_cast<int>(is_target.size()) == adj.num_vertices());
+  assert(is_target.empty() ||
+         static_cast<int>(is_target.size()) == adj.num_vertices());
+  const bool targeted = !is_target.empty();
   const double inf = std::numeric_limits<double>::infinity();
   std::fill(dist.begin(), dist.end(), inf);
   std::fill(parent_edge.begin(), parent_edge.end(), -1);
@@ -225,9 +189,13 @@ void dijkstra_into_targets(const FlatAdjacency& adj, int source,
   while (!heap.empty()) {
     const auto [d, v] = heap4_pop(heap);
     if (d > dist[static_cast<std::size_t>(v)]) continue;
-    if (is_target[static_cast<std::size_t>(v)] && --remaining == 0) return;
+    if (targeted && is_target[static_cast<std::size_t>(v)] &&
+        --remaining == 0) {
+      return;
+    }
     for (const FlatAdjacency::Arc arc : adj.arcs(v)) {
-      assert(length[static_cast<std::size_t>(arc.edge)] > 0.0);
+      assert(targeted ? length[static_cast<std::size_t>(arc.edge)] > 0.0
+                      : length[static_cast<std::size_t>(arc.edge)] >= 0.0);
       const double nd = d + length[static_cast<std::size_t>(arc.edge)];
       if (nd < dist[static_cast<std::size_t>(arc.to)]) {
         dist[static_cast<std::size_t>(arc.to)] = nd;
@@ -243,13 +211,15 @@ void dijkstra_into_targets(const FlatAdjacency& adj, int source,
 std::vector<double> dijkstra(const Graph& g, int source,
                              const std::vector<double>& length,
                              std::vector<int>* parent_edge) {
+  assert(static_cast<int>(length.size()) == g.num_edges());
   std::vector<double> dist(static_cast<std::size_t>(g.num_vertices()));
+  std::span<int> parents;
   if (parent_edge) {
     parent_edge->resize(static_cast<std::size_t>(g.num_vertices()));
-    dijkstra_into(g, source, length, dist, *parent_edge);
-  } else {
-    dijkstra_into(g, source, length, dist, {});
+    parents = *parent_edge;
   }
+  DijkstraScratch scratch;
+  dijkstra_into(FlatAdjacency(g), source, length, dist, parents, scratch);
   return dist;
 }
 

@@ -1,10 +1,13 @@
-// Shortest-path primitives: BFS (hop metric), Dijkstra (arbitrary positive
-// edge lengths), all-pairs hop distances, and uniformly random shortest
-// paths (the diversity primitive the oblivious routers build on).
+// Shortest-path primitives: BFS (hop metric), Dijkstra (non-negative edge
+// lengths, over a CSR snapshot), all-pairs hop distances, and uniformly
+// random shortest paths (the diversity primitive the oblivious routers
+// build on).
 #pragma once
 
 #include <limits>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -19,36 +22,6 @@ std::vector<int> bfs_distances(const Graph& g, int source);
 
 /// Hop distances between all vertex pairs; result[u][v]. O(n * m).
 std::vector<std::vector<int>> all_pairs_hop_distances(const Graph& g);
-
-/// Dijkstra from `source` with per-edge lengths (length[e] >= 0).
-/// Returns distances; `parent_edge`, if non-null, receives for each vertex
-/// the edge id used to reach it (-1 for source/unreachable).
-std::vector<double> dijkstra(const Graph& g, int source,
-                             const std::vector<double>& length,
-                             std::vector<int>* parent_edge = nullptr);
-
-/// Dijkstra writing into caller-provided buffers of size num_vertices()
-/// (rows of a flat all-pairs matrix, say), avoiding the per-call
-/// allocations of `dijkstra` when sweeping many sources. `parent_edge` may
-/// be empty to skip parent tracking. Same algorithm, identical output.
-void dijkstra_into(const Graph& g, int source,
-                   const std::vector<double>& length, std::span<double> dist,
-                   std::span<int> parent_edge);
-
-/// Reusable scratch for `dijkstra_into`: the binary heap's backing storage,
-/// kept hot across calls so a repeated best-response sweep (one Dijkstra
-/// per source per MWU round) allocates nothing after the first call. The
-/// heap discipline (std::push_heap/pop_heap over (dist, vertex) pairs with
-/// std::greater) is exactly what std::priority_queue performs, so output is
-/// bit-identical to the scratch-free overload.
-struct DijkstraScratch {
-  std::vector<std::pair<double, int>> heap;
-};
-
-/// Scratch-reusing variant of `dijkstra_into`; identical output.
-void dijkstra_into(const Graph& g, int source,
-                   const std::vector<double>& length, std::span<double> dist,
-                   std::span<int> parent_edge, DijkstraScratch& scratch);
 
 /// Flat CSR snapshot of a graph's incidence structure: per-vertex arc
 /// ranges of packed {neighbor, edge id} pairs, in exactly
@@ -102,27 +75,65 @@ std::vector<int> path_edge_ids(const FlatAdjacency& adj, const Graph& g,
 void append_path_edge_ids(const FlatAdjacency& adj, const Graph& g,
                           const Path& path, std::vector<int>& out);
 
-/// Early-exit Dijkstra over a FlatAdjacency snapshot: stops as soon as
-/// every vertex flagged in `is_target` (exactly `num_targets` distinct
-/// flags) has been settled. Requires every length to be STRICTLY
-/// positive. Then, for every settled vertex — in particular every target
-/// and every vertex on a shortest path to one (strictly positive lengths
-/// put those at strictly smaller dist, hence settled strictly earlier,
-/// with parent pointers that can never be overwritten once settled) —
-/// `dist` and `parent_edge` are bit-identical to a full `dijkstra_into`
-/// run's; entries of unsettled vertices are unspecified (infinity/-1 or a
-/// tentative value). The scratch vector is run as a 4-ary min-heap: every
-/// heap item (dist, vertex) is distinct and the comparator is a total
-/// order, so the pop sequence — and with it every settled dist and parent
-/// pointer — is the same for ANY correct heap. Used by the free-path MWU,
-/// whose per-round best response only reads target distances and walks
-/// parents back from targets.
-void dijkstra_into_targets(const FlatAdjacency& adj, int source,
-                           const std::vector<double>& length,
-                           std::span<double> dist, std::span<int> parent_edge,
-                           DijkstraScratch& scratch,
-                           const std::vector<char>& is_target,
-                           int num_targets);
+/// A FlatAdjacency cached across calls on one graph, keyed on graph
+/// identity and shape. Arcs depend only on the incidence structure, never
+/// on capacities, so the snapshot stays valid across
+/// Graph::set_edge_capacity (the only mutation the scenario layer performs
+/// on a served graph). Used by the scratch arenas of repeated-Dijkstra
+/// loops (the free MWU oracle, the distance lower bound).
+class FlatAdjacencyCache {
+ public:
+  const FlatAdjacency& get(const Graph& g);
+
+ private:
+  std::optional<FlatAdjacency> adj_;
+  const Graph* graph_ = nullptr;
+  int vertices_ = 0;
+  int edges_ = 0;
+};
+
+/// Reusable scratch for `dijkstra_into`: the 4-ary heap's backing storage,
+/// kept hot across calls so a repeated sweep (one Dijkstra per source per
+/// MWU round, or one per row of an all-pairs metric) allocates nothing
+/// after the first call.
+struct DijkstraScratch {
+  std::vector<std::pair<double, int>> heap;
+};
+
+/// Dijkstra from `source` over a FlatAdjacency snapshot with per-edge
+/// lengths (length[e] >= 0), writing into caller-provided buffers of size
+/// num_vertices() (rows of a flat all-pairs matrix, say). `parent_edge`
+/// receives for each vertex the edge id used to reach it (-1 for the
+/// source and unreachable vertices) and may be empty to skip parent
+/// tracking. The heap is 4-ary; every heap item (dist, vertex) is distinct
+/// (a vertex re-enters only with a strictly smaller dist) and the
+/// comparator is a total order, so the pop sequence — and with it every
+/// dist and parent bit — is the same as ANY correct heap's, such as a
+/// std::priority_queue over Graph::incident, whose order the CSR arcs keep.
+///
+/// With a non-empty `is_target` mask (exactly `num_targets` distinct
+/// flags) the sweep stops as soon as every flagged vertex is settled; this
+/// requires every length to be STRICTLY positive. Then, for every settled
+/// vertex — in particular every target and every vertex on a shortest path
+/// to one (strictly positive lengths put those at strictly smaller dist,
+/// hence settled strictly earlier, with parent pointers that can never be
+/// overwritten once settled) — `dist` and `parent_edge` are bit-identical
+/// to the full sweep's; entries of unsettled vertices are unspecified
+/// (infinity/-1 or a tentative value). The free-path MWU uses this: its
+/// per-round best response only reads target distances and walks parents
+/// back from targets.
+void dijkstra_into(const FlatAdjacency& adj, int source,
+                   const std::vector<double>& length, std::span<double> dist,
+                   std::span<int> parent_edge, DijkstraScratch& scratch,
+                   std::span<const char> is_target = {}, int num_targets = 0);
+
+/// Allocating single-source convenience over a fresh FlatAdjacency (for
+/// tests and one-off callers; loops should hold a snapshot and scratch).
+/// Returns distances; `parent_edge`, if non-null, receives the parent edge
+/// ids as in dijkstra_into.
+std::vector<double> dijkstra(const Graph& g, int source,
+                             const std::vector<double>& length,
+                             std::vector<int>* parent_edge = nullptr);
 
 /// One shortest s-t path under `length` (deterministic tie-breaking by edge
 /// id). Returns empty path if t is unreachable.

@@ -608,17 +608,18 @@ struct RestrictedOracle {
 //    a source preserved);
 //  * Dijkstra runs through reused dist/parent/heap scratch on a cached CSR
 //    snapshot whose arc order equals Graph::incident — same algorithm, same
-//    heap discipline, zero per-round allocation;
+//    pop sequence, zero per-round allocation;
 //  * each Dijkstra stops once its source's targets are settled, which is
 //    bit-identical for everything the walk-back reads while lengths are
-//    strictly positive (see dijkstra_into_targets); the full sweep is the
-//    fallback for the pathological underflow-to-zero case;
+//    strictly positive (see dijkstra_into); the full sweep of the same
+//    kernel is the fallback for the pathological underflow-to-zero case;
 //  * UNLIKE the restricted case, Dijkstra may read ANY edge's length, so
 //    all m lengths are refreshed each round.
 struct FreeOracle {
   const Graph& g;
   const std::vector<Commodity>& commodities;
   MinCongestionScratch& sc;
+  const FlatAdjacency* adj = nullptr;
   bool lengths_positive = true;
 
   // Source s's commodities occupy by_source[source_first[s] ..
@@ -685,15 +686,9 @@ struct FreeOracle {
     sc.dist.assign(n, 0.0);
     sc.parent_edge.assign(n, -1);
     // The CSR snapshot is cached across CALLS on the same graph (see
-    // MinCongestionScratch::adj: arcs depend on incidence only, so the
-    // scenario layer's capacity-only mutations keep it valid).
-    if (sc.adj_graph != &g || sc.adj_vertices != g.num_vertices() ||
-        sc.adj_edges != g.num_edges()) {
-      sc.adj.emplace(g);
-      sc.adj_graph = &g;
-      sc.adj_vertices = g.num_vertices();
-      sc.adj_edges = g.num_edges();
-    }
+    // FlatAdjacencyCache: the scenario layer's capacity-only mutations keep
+    // it valid).
+    adj = &sc.adj.get(g);
   }
 
   template <class Length>
@@ -717,12 +712,12 @@ struct FreeOracle {
       const int s = sc.sources[si];
       if (lengths_positive) {
         mark_targets(s, 1);
-        dijkstra_into_targets(*sc.adj, s, sc.lengths, sc.dist, sc.parent_edge,
-                              sc.dijkstra, sc.is_target,
-                              sc.distinct_targets[si]);
+        dijkstra_into(*adj, s, sc.lengths, sc.dist, sc.parent_edge,
+                      sc.dijkstra, sc.is_target, sc.distinct_targets[si]);
         mark_targets(s, 0);
       } else {
-        dijkstra_into(g, s, sc.lengths, sc.dist, sc.parent_edge, sc.dijkstra);
+        dijkstra_into(*adj, s, sc.lengths, sc.dist, sc.parent_edge,
+                      sc.dijkstra);
       }
       for (std::size_t j : group(s)) {
         const int t = commodities[j].t;

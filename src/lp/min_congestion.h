@@ -238,14 +238,7 @@ struct MinCongestionScratch {
   std::vector<double> dist;
   std::vector<int> parent_edge;
   DijkstraScratch dijkstra;
-  // CSR snapshot cache, keyed on graph identity + shape. Arcs depend only
-  // on the incidence structure, never on capacities, so the snapshot stays
-  // valid across Graph::set_edge_capacity (the only mutation the scenario
-  // layer performs on a served graph).
-  std::optional<FlatAdjacency> adj;
-  const Graph* adj_graph = nullptr;
-  int adj_vertices = 0;
-  int adj_edges = 0;
+  FlatAdjacencyCache adj;  // CSR snapshot, cached across calls
 };
 
 /// Fractional min-congestion routing of `commodities` where commodity j may

@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
-#include <span>
+#include <string>
 
-#include "graph/shortest_path.h"
+#include "fault/sor_error.h"
+#include "util/thread_pool.h"
 
 namespace sor {
 namespace {
 
-/// Reconstructs the shortest path from `src` to `dst` given `parent_edge`
-/// produced by dijkstra_into(g, src, ...).
+/// Reconstructs the shortest path from `src` to `dst` given `parent_edge`,
+/// the parent row of `src` in a ShortestPathMetric.
 Path reconstruct(const Graph& g, int src, int dst,
                  std::span<const int> parent_edge) {
   Path reversed = {dst};
@@ -29,40 +29,60 @@ Path reconstruct(const Graph& g, int src, int dst,
 
 }  // namespace
 
+ShortestPathMetric::ShortestPathMetric(const FlatAdjacency& adj,
+                                       const std::vector<double>& edge_length,
+                                       util::ThreadPool* pool)
+    : n_(adj.num_vertices()) {
+  assert(n_ >= 1);
+  const std::size_t sn = static_cast<std::size_t>(n_);
+  dist_.resize(sn * sn);
+  parent_.resize(sn * sn);
+  // Contiguous row chunks, a few per thread so work stealing can balance
+  // them; one heap scratch per chunk. Each chunk writes only its own rows
+  // and its own max, and max is exact in any order, so the metric does not
+  // depend on the chunking. The first non-finite distance in row-major
+  // order is the one reported: the pool rethrows the smallest throwing
+  // chunk's error, and a chunk stops at its first.
+  const std::size_t chunks =
+      pool ? std::min(sn, 4 * static_cast<std::size_t>(pool->num_threads()))
+           : 1;
+  std::vector<double> chunk_max(chunks, 0.0);
+  auto run_chunk = [&](std::size_t c) {
+    DijkstraScratch scratch;
+    double max_dist = 0.0;
+    for (std::size_t u = c * sn / chunks; u < (c + 1) * sn / chunks; ++u) {
+      const std::span<double> row(dist_.data() + u * sn, sn);
+      dijkstra_into(adj, static_cast<int>(u), edge_length, row,
+                    std::span<int>(parent_.data() + u * sn, sn), scratch);
+      for (std::size_t v = 0; v < sn; ++v) {
+        if (!std::isfinite(row[v])) {
+          throw SorError(ErrorCode::kInfiniteDistance, "frt_metric",
+                         "frt_metric: distance from " + std::to_string(u) +
+                             " to " + std::to_string(v) +
+                             " is not finite (FRT trees need a connected "
+                             "graph and finite edge lengths)");
+        }
+        max_dist = std::max(max_dist, row[v]);
+      }
+    }
+    chunk_max[c] = max_dist;
+  };
+  if (pool) {
+    pool->parallel_for(chunks, run_chunk);
+  } else {
+    run_chunk(0);
+  }
+  diameter_ = *std::max_element(chunk_max.begin(), chunk_max.end());
+  if (diameter_ <= 0.0) diameter_ = 1.0;
+}
+
 FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
                  Rng& rng)
-    : g_(&g) {
-  const int n = g.num_vertices();
-  assert(n >= 1);
-  assert(static_cast<int>(edge_length.size()) == g.num_edges());
-  const std::size_t sn = static_cast<std::size_t>(n);
+    : FrtTree(g, ShortestPathMetric(FlatAdjacency(g), edge_length), rng) {}
 
-  // All-pairs shortest distances + parent pointers w.r.t. edge_length, in
-  // flat n*n row-major buffers (one contiguous slab instead of n separate
-  // heap rows): dist[u*n + v]. The per-tree constructor dominates racke
-  // build time, so every Dijkstra writes straight into its row.
-  std::vector<double> dist(sn * sn);
-  std::vector<int> parent(sn * sn);
-  double diameter = 0.0;
-  double min_positive = std::numeric_limits<double>::infinity();
-  for (int v = 0; v < n; ++v) {
-    const std::size_t row = static_cast<std::size_t>(v) * sn;
-    dijkstra_into(g, v, edge_length,
-                  std::span<double>(dist.data() + row, sn),
-                  std::span<int>(parent.data() + row, sn));
-    for (int w = 0; w < n; ++w) {
-      const double d = dist[row + static_cast<std::size_t>(w)];
-      assert(d != std::numeric_limits<double>::infinity() &&
-             "FRT requires a connected graph");
-      diameter = std::max(diameter, d);
-      if (d > 0.0) min_positive = std::min(min_positive, d);
-    }
-  }
-  if (diameter <= 0.0) diameter = 1.0;
-  if (!std::isfinite(min_positive)) min_positive = 1.0;
-  auto dist_at = [&](int u, int v) {
-    return dist[static_cast<std::size_t>(u) * sn + static_cast<std::size_t>(v)];
-  };
+FrtTree::FrtTree(const Graph& g, const ShortestPathMetric& metric, Rng& rng) {
+  const int n = g.num_vertices();
+  assert(metric.num_vertices() == n);
 
   // Random permutation and scale parameter beta in [1, 2).
   const std::vector<int> pi = rng.permutation(n);
@@ -80,7 +100,7 @@ FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
   std::vector<int> frontier = {0};  // node ids whose clusters may split
   std::vector<int> next_frontier;
   std::vector<char> assigned;       // partition scratch, reused across levels
-  double radius = beta * diameter;
+  double radius = beta * metric.diameter();
   int depth = 0;
   while (!frontier.empty()) {
     radius /= 2.0;
@@ -104,7 +124,7 @@ FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
         for (std::size_t i = 0; i < cluster.size(); ++i) {
           if (assigned[i]) continue;
           const int v = cluster[i];
-          if (dist_at(u, v) <= radius) {
+          if (metric.dist(u, v) <= radius) {
             assigned[i] = 1;
             --remaining;
             child_members.push_back(v);
@@ -123,11 +143,7 @@ FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
         const int u_center = child.center;
         if (u_center != parent_center) {
           child.path_to_parent = reconstruct(
-              g, parent_center, u_center,
-              std::span<const int>(
-                  parent.data() +
-                      static_cast<std::size_t>(parent_center) * sn,
-                  sn));
+              g, parent_center, u_center, metric.parent_row(parent_center));
           std::reverse(child.path_to_parent.begin(),
                        child.path_to_parent.end());
         }
@@ -138,9 +154,11 @@ FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
       assert(remaining == 0 && "every vertex is within radius of itself");
     }
     frontier.swap(next_frontier);
-    // Safety: radii below the minimum positive distance force singletons,
-    // so the loop terminates in O(log(diameter / min_positive)) levels.
-    assert(depth < 200);
+    // Terminates: the metric's distances are finite and lengths positive,
+    // so once the halving radius drops below the least distance between
+    // distinct vertices every cluster is a singleton — within
+    // log2(diameter / least distance) + 1 levels, a few thousand at most
+    // across the double range.
   }
 
   for (int v = 0; v < n; ++v) {

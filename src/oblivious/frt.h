@@ -12,12 +12,56 @@
 // the construction deployed by SMORE [KYY+18] (see DESIGN.md substitutions).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/shortest_path.h"
 #include "util/rng.h"
 
 namespace sor {
+
+namespace util {
+class ThreadPool;
+}
+
+/// The all-pairs shortest-path metric under one edge-length vector: the
+/// input every FRT tree partitions. Row-major n*n slabs hold dist(u, v)
+/// and, per source u, the parent edge of every v in u's shortest-path
+/// tree. Räcke builds one per MWU wave and shares it read-only among the
+/// wave's trees.
+class ShortestPathMetric {
+ public:
+  /// One full-sweep Dijkstra per vertex over `adj`, the graph's CSR
+  /// snapshot. Rows are independent, so they fan over `pool` (serial when
+  /// null) in contiguous chunks and the output is the same for every
+  /// thread count. Throws SorError{kInfiniteDistance, "frt_metric"} in
+  /// every build type when some distance is not finite: a disconnected
+  /// graph, or lengths that overflowed to infinity.
+  ShortestPathMetric(const FlatAdjacency& adj,
+                     const std::vector<double>& edge_length,
+                     util::ThreadPool* pool = nullptr);
+
+  int num_vertices() const { return n_; }
+  double dist(int u, int v) const {
+    return dist_[static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) +
+                 static_cast<std::size_t>(v)];
+  }
+  /// Parent edge ids of u's shortest-path tree (-1 at u itself).
+  std::span<const int> parent_row(int u) const {
+    return {parent_.data() +
+                static_cast<std::size_t>(u) * static_cast<std::size_t>(n_),
+            static_cast<std::size_t>(n_)};
+  }
+  /// The largest distance, or 1 when every distance is 0 (n = 1).
+  double diameter() const { return diameter_; }
+
+ private:
+  int n_;
+  std::vector<double> dist_;
+  std::vector<int> parent_;
+  double diameter_ = 0.0;
+};
 
 /// One node of the FRT cluster tree.
 struct FrtNode {
@@ -32,8 +76,15 @@ struct FrtNode {
 /// An FRT tree plus its embedding into the host graph.
 class FrtTree {
  public:
-  /// Builds a random FRT tree w.r.t. `edge_length` (> 0 per edge).
-  /// Requires the graph to be connected.
+  /// Builds a random FRT tree of `metric`, which must be the metric of
+  /// `g` under positive edge lengths: only the random ball-growing
+  /// partition and the embedding run here, so trees of one metric share
+  /// its all-pairs Dijkstra cost.
+  FrtTree(const Graph& g, const ShortestPathMetric& metric, Rng& rng);
+
+  /// Builds a random FRT tree w.r.t. `edge_length` (> 0 per edge),
+  /// computing the metric for this tree alone. Throws like
+  /// ShortestPathMetric when the graph is disconnected.
   FrtTree(const Graph& g, const std::vector<double>& edge_length, Rng& rng);
 
   const std::vector<FrtNode>& nodes() const { return nodes_; }
@@ -60,7 +111,6 @@ class FrtTree {
                                  std::vector<double>& load) const;
 
  private:
-  const Graph* g_;
   std::vector<FrtNode> nodes_;
   std::vector<int> leaf_;              ///< vertex -> leaf node id
   std::vector<double> cluster_boundary_;

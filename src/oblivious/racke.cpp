@@ -8,6 +8,7 @@
 #include <optional>
 
 #include "api/backend_registry.h"
+#include "obs/trace.h"
 #include "util/thread_pool.h"
 
 namespace sor {
@@ -17,12 +18,12 @@ RackeRouting::RackeRouting(const Graph& g, const RackeOptions& options,
     : g_(&g) {
   assert(options.num_trees >= 1);
   assert(options.wave >= 1);
-  assert(g.is_connected());
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
   std::vector<double> load(m, 0.0);
   std::vector<double> lengths(m, 0.0);
   trees_.reserve(static_cast<std::size_t>(options.num_trees));
   util::ThreadPool pool(options.threads);
+  const FlatAdjacency adj(g);
   for (int base = 0; base < options.num_trees; base += options.wave) {
     const int count = std::min(options.wave, options.num_trees - base);
     double max_rel = 0.0;
@@ -35,12 +36,19 @@ RackeRouting::RackeRouting(const Graph& g, const RackeOptions& options,
       const double rel = max_rel > 0.0 ? (load[e] / cap) / max_rel : 0.0;
       lengths[e] = std::exp(options.eta * rel) / cap;
     }
+    // The wave's lengths are fixed, so its trees share one metric, built
+    // with its rows on the pool.
+    const ShortestPathMetric metric = [&] {
+      const obs::TraceSpan span("metric", "build");
+      return ShortestPathMetric(adj, lengths, &pool);
+    }();
     // One seed-split stream per tree of the wave, then an independent
     // build per tree: the wave's output is invariant to thread count.
+    const obs::TraceSpan span("trees", "build");
     std::vector<Rng> streams = rng.split(static_cast<std::size_t>(count));
     std::vector<std::optional<FrtTree>> wave(static_cast<std::size_t>(count));
     pool.parallel_for(static_cast<std::size_t>(count), [&](std::size_t i) {
-      wave[i].emplace(g, lengths, streams[i]);
+      wave[i].emplace(g, metric, streams[i]);
     });
     for (std::optional<FrtTree>& tree : wave) {
       trees_.push_back(std::move(*tree));
@@ -84,6 +92,9 @@ void register_racke_backends(BackendRegistry& registry) {
          }
          if (options.threads < 0) {
            throw std::invalid_argument("racke: threads must be >= 0");
+         }
+         if (!std::isfinite(options.eta) || options.eta < 0.0) {
+           throw std::invalid_argument("racke: eta must be finite and >= 0");
          }
          return std::make_unique<RackeRouting>(g, options, rng);
        }});

@@ -29,14 +29,16 @@ struct RackeOptions {
   /// MWU aggressiveness; the exponent is eta * (rel load / max rel load).
   double eta = 6.0;
   /// MWU update granularity: edge lengths are re-derived from the
-  /// accumulated embedding loads once per wave of this many trees, and the
-  /// trees within a wave are built independently from per-tree seed-split
-  /// Rng streams. That independence is what makes the construction
-  /// parallelizable; the wave size (not the thread count) is what defines
-  /// the output, so results are bit-identical for every `threads` value.
+  /// accumulated embedding loads once per wave of this many trees, so the
+  /// wave's trees share one all-pairs shortest-path metric (built once,
+  /// its rows fanned over the pool) and are then built independently from
+  /// per-tree seed-split Rng streams. That independence is what makes the
+  /// construction parallelizable; the wave size (not the thread count) is
+  /// what defines the output, so results are bit-identical for every
+  /// `threads` value.
   int wave = 4;
-  /// Threads for building the trees of a wave concurrently (<= wave is
-  /// useful). 1 = serial; 0 = hardware concurrency.
+  /// Threads for building a wave's metric rows and its trees
+  /// concurrently. 1 = serial; 0 = hardware concurrency.
   int threads = 1;
 };
 
@@ -49,6 +51,10 @@ class RackeRouting final : public ObliviousRouting {
   const Graph& graph() const override { return *g_; }
 
   int num_trees() const { return static_cast<int>(trees_.size()); }
+  /// Tree `index` of the distribution, read-only.
+  const FrtTree& tree(int index) const {
+    return trees_[static_cast<std::size_t>(index)];
+  }
   /// Routes s -> t through tree `index` deterministically.
   Path tree_route(int index, int s, int t) const {
     return trees_[static_cast<std::size_t>(index)].route(s, t);

@@ -19,7 +19,8 @@
 //    (string literals at every call site); records store the pointers.
 //
 // Span taxonomy (category.name) — see docs/observability.md for the table:
-//   engine.build / engine.install (children install.sample /
+//   engine.build (children build.metric / build.trees, per racke wave) /
+//   engine.install (children install.sample /
 //   install.intern / install.index / install.compact) / engine.route /
 //   engine.optimum /
 //   engine.rounding / engine.sim / engine.rebuild, batch.batch,

@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/sor_engine.h"
@@ -22,6 +23,7 @@
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "lp/min_congestion.h"
+#include "oblivious/racke.h"
 #include "runtime/alloc_stats.h"
 #include "util/rng.h"
 
@@ -152,6 +154,51 @@ TEST(TraceRecorder, InstallPhaseSpansAndCompactOnlyOnReinstall) {
   engine.install_paths(SamplingSpec::for_demand(small_demand(), 3));
   EXPECT_EQ(span_names("install"),
             (std::vector<std::string>{"sample", "intern", "index", "compact"}));
+}
+
+TEST(TraceRecorder, RackeBuildRecordsOneMetricSpanPerWave) {
+  // The wave's trees share one all-pairs metric, so a racke build records
+  // exactly ceil(num_trees / wave) `build.metric` spans, each followed by
+  // the wave's `build.trees` span, all inside `engine.build`.
+  TracerGuard guard;
+  const Graph g = gen::grid(4, 4, true);
+  for (const auto& [spec, waves] :
+       std::vector<std::pair<std::string, int>>{
+           {"racke:num_trees=10", 3},
+           {"racke:num_trees=10,wave=5", 2},
+           {"racke:num_trees=7,wave=1", 7},
+           {"frt", 1}}) {
+    const SorEngine untraced = SorEngine::build(g, spec, 7);
+    obs::tracer().clear();
+    obs::tracer().enable(256);
+    const SorEngine traced = SorEngine::build(g, spec, 7);
+    std::vector<std::string> expected;
+    for (int i = 0; i < waves; ++i) {
+      expected.emplace_back("metric");
+      expected.emplace_back("trees");
+    }
+    EXPECT_EQ(span_names("build"), expected) << spec;
+    std::uint64_t parent_start = 0, parent_end = 0;
+    for (const obs::TraceEvent& e : obs::tracer().events()) {
+      if (std::string(e.cat) == "engine" && std::string(e.name) == "build") {
+        parent_start = e.start_us;
+        parent_end = e.start_us + e.dur_us;
+      }
+    }
+    for (const obs::TraceEvent& e : obs::tracer().events()) {
+      if (std::string(e.cat) != "build") continue;
+      EXPECT_GE(e.start_us, parent_start);
+      EXPECT_LE(e.start_us + e.dur_us, parent_end);
+    }
+    obs::tracer().disable();
+    // Tracing leaves the trees bit-identical.
+    const auto& a = dynamic_cast<const RackeRouting&>(traced.backend());
+    const auto& b = dynamic_cast<const RackeRouting&>(untraced.backend());
+    ASSERT_EQ(a.num_trees(), b.num_trees());
+    for (int i = 0; i < a.num_trees(); ++i) {
+      EXPECT_EQ(a.tree_route(i, 0, 15), b.tree_route(i, 0, 15));
+    }
+  }
 }
 
 TEST(TraceRecorder, RingDropsNewestWhenFullAndCounts) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
+#include "api/sor_engine.h"
 #include "core/demand.h"
 #include "core/semi_oblivious.h"
+#include "fault/sor_error.h"
 #include "graph/generators.h"
 
 namespace sor {
@@ -79,6 +85,53 @@ TEST(Racke, IterationBalancesLoad) {
   // unweighted tree (allow slack for randomness).
   EXPECT_LE(many.max_relative_embedding_load(),
             one.max_relative_embedding_load() * 1.5 + 1e-9);
+}
+
+// An infinite distance makes the FRT radius infinite, so clusters would
+// never split and the build would never end. Both inputs below must fail
+// fast with a typed error in every build type.
+TEST(Racke, DisconnectedGraphThrowsTypedErrorInsteadOfHanging) {
+  Graph g(6);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(3, 4);
+  g.add_edge(4, 5);
+  std::string first_message;
+  for (int threads : {1, 4}) {
+    try {
+      SorEngine::build(g, "racke:num_trees=2", 3, threads);
+      ADD_FAILURE() << "build of a disconnected graph did not throw";
+    } catch (const SorError& err) {
+      EXPECT_EQ(err.code(), ErrorCode::kInfiniteDistance);
+      EXPECT_EQ(err.site(), "frt_metric");
+      // The reported pair is the first in row-major order, whatever the
+      // thread count.
+      if (first_message.empty()) first_message = err.what();
+      EXPECT_EQ(first_message, err.what());
+    }
+  }
+}
+
+TEST(Racke, OverflowingLengthsThrowTypedErrorInsteadOfHanging) {
+  // On a path every tree loads every edge, and eta = 1000 overflows the
+  // most loaded edge's length exp(eta * 1) / cap to infinity.
+  Graph g(8);
+  for (int v = 0; v + 1 < 8; ++v) g.add_edge(v, v + 1);
+  try {
+    SorEngine::build(g, "racke:num_trees=8,eta=1000", 1);
+    ADD_FAILURE() << "overflowing lengths did not throw";
+  } catch (const SorError& err) {
+    EXPECT_EQ(err.code(), ErrorCode::kInfiniteDistance);
+    EXPECT_EQ(err.site(), "frt_metric");
+  }
+}
+
+TEST(Racke, RegistryRejectsNonFiniteOrNegativeEta) {
+  const Graph g = gen::grid(3, 3);
+  for (const char* spec : {"racke:eta=-1", "racke:eta=inf", "racke:eta=nan"}) {
+    EXPECT_THROW(SorEngine::build(g, spec, 1), std::invalid_argument) << spec;
+  }
+  EXPECT_NO_THROW(SorEngine::build(g, "racke:num_trees=2,eta=0", 1));
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 
+#include "../bench/legacy_dijkstra.h"
 #include "graph/generators.h"
 
 namespace sor {
@@ -70,8 +72,8 @@ TEST(ShortestPath, ShortestPathHopsIsValidAndTight) {
 }
 
 TEST(ShortestPath, DijkstraIntoTargetsMatchesFullRun) {
-  // The early-exit CSR variant must agree bit-for-bit with the full
-  // dijkstra_into on everything its contract covers: the target's dist
+  // The early-exit CSR variant must agree bit-for-bit with a full
+  // binary-heap run on everything its contract covers: the target's dist
   // and the whole parent chain back to the source (strictly positive
   // lengths make the settled prefix final).
   Rng rng(29);
@@ -89,11 +91,10 @@ TEST(ShortestPath, DijkstraIntoTargetsMatchesFullRun) {
       const int s = rng.uniform_int(0, g.num_vertices() - 1);
       int t = rng.uniform_int(0, g.num_vertices() - 1);
       if (s == t) t = (t + 1) % g.num_vertices();
-      dijkstra_into(g, s, length, full_dist, full_parent);
+      legacy_dijkstra::dijkstra_into(g, s, length, full_dist, full_parent);
       std::vector<char> is_target(n, 0);
       is_target[static_cast<std::size_t>(t)] = 1;
-      dijkstra_into_targets(adj, s, length, dist, parent, scratch, is_target,
-                            1);
+      dijkstra_into(adj, s, length, dist, parent, scratch, is_target, 1);
       EXPECT_EQ(dist[static_cast<std::size_t>(t)],
                 full_dist[static_cast<std::size_t>(t)]);
       int v = t;
@@ -103,6 +104,46 @@ TEST(ShortestPath, DijkstraIntoTargetsMatchesFullRun) {
         EXPECT_EQ(dist[static_cast<std::size_t>(v)],
                   full_dist[static_cast<std::size_t>(v)]);
         v = g.edge(parent[static_cast<std::size_t>(v)]).other(v);
+      }
+    }
+  }
+}
+
+TEST(ShortestPath, CsrFullSweepMatchesBinaryHeapReference) {
+  // The full-sweep CSR Dijkstra (4-ary heap over FlatAdjacency) against the
+  // binary-heap reference over Graph::incident: every dist and parent bit
+  // of every source, on graphs with zero-length edges (ties the heap must
+  // break identically), parallel edges and unreachable vertices.
+  Rng rng(41);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = 24 + trial;
+    const int isolated = 1 + trial % 3;  // vertices n - isolated .. n - 1
+    Graph g(n);
+    for (int i = 0; i < 3 * n; ++i) {
+      const int u = rng.uniform_int(0, n - isolated - 1);
+      int v = rng.uniform_int(0, n - isolated - 1);
+      if (u == v) v = (v + 1) % (n - isolated);
+      g.add_edge(u, v);
+      if (rng.uniform_int(0, 4) == 0) g.add_edge(v, u);  // parallel edge
+    }
+    std::vector<double> length(static_cast<std::size_t>(g.num_edges()));
+    for (double& l : length) {
+      l = rng.uniform_int(0, 3) == 0 ? 0.0
+                                     : static_cast<double>(rng.uniform_int(1, 4));
+    }
+    const std::size_t sn = static_cast<std::size_t>(n);
+    const FlatAdjacency adj(g);
+    ASSERT_TRUE(adj.has_parallel_arcs());
+    DijkstraScratch scratch;
+    std::vector<double> dist(sn), ref_dist(sn);
+    std::vector<int> parent(sn), ref_parent(sn);
+    for (int s = 0; s < n; ++s) {
+      dijkstra_into(adj, s, length, dist, parent, scratch);
+      legacy_dijkstra::dijkstra_into(g, s, length, ref_dist, ref_parent);
+      EXPECT_EQ(dist, ref_dist) << "trial " << trial << " source " << s;
+      EXPECT_EQ(parent, ref_parent) << "trial " << trial << " source " << s;
+      if (s < n - isolated) {
+        EXPECT_EQ(dist[sn - 1], std::numeric_limits<double>::infinity());
       }
     }
   }

@@ -17,16 +17,14 @@ using namespace sor;
 
 double oblivious_split_congestion(const Graph& g, const PathSystem& ps,
                                   const Demand& d) {
-  std::vector<Commodity> commodities = d.commodities();
-  std::vector<std::vector<Path>> paths;
+  const std::vector<Commodity> commodities = d.commodities();
   std::vector<std::vector<double>> weights;
   for (const Commodity& c : commodities) {
-    const auto& list = ps.paths(c.s, c.t);
-    paths.push_back(list);
-    weights.emplace_back(list.size(),
-                         c.amount / static_cast<double>(list.size()));
+    const std::size_t count = ps.refs(c.s, c.t).size();
+    weights.emplace_back(count, c.amount / static_cast<double>(count));
   }
-  return congestion_of_weights(g, commodities, paths, weights);
+  return congestion_of_weights(g, commodities,
+                               flat_candidates(ps, commodities), weights);
 }
 
 void run_topology(const std::string& name, Graph graph, Rng& rng) {

@@ -142,8 +142,6 @@ void usage() {
       "spec for hand-editing (reload it with --scenario);\n"
       "--scenario-trace-out dumps the materialized demand/event trace\n"
       "(reload programmatically via src/io/scenario_io.h read_trace).\n"
-      "--trace-out is a deprecated alias for --scenario-trace-out and will\n"
-      "be removed; it collided with the Chrome trace below.\n"
       "\n"
       "Observability (docs/observability.md; off by default — outputs are\n"
       "bit-identical with every sink disabled):\n"
@@ -244,17 +242,6 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
     } else if (!std::strcmp(argv[i], "--scenario-trace-out")) {
       const char* v = next("--scenario-trace-out");
       if (!v) return false;
-      opt.scenario_trace_out = v;
-    } else if (!std::strcmp(argv[i], "--trace-out")) {
-      // Deprecated alias: "trace" now means the Chrome span trace
-      // (--trace-json); the scenario demand/event trace moved to
-      // --scenario-trace-out.
-      const char* v = next("--trace-out");
-      if (!v) return false;
-      std::fprintf(stderr,
-                   "warning: --trace-out is deprecated; use "
-                   "--scenario-trace-out (scenario demand/event trace) or "
-                   "--trace-json (Chrome span trace)\n");
       opt.scenario_trace_out = v;
     } else if (!std::strcmp(argv[i], "--trace-json")) {
       const char* v = next("--trace-json");

@@ -24,15 +24,14 @@ namespace {
 double oblivious_split_congestion(const sor::Graph& g,
                                   const sor::PathSystem& ps,
                                   const sor::Demand& d) {
-  std::vector<sor::Commodity> commodities = d.commodities();
-  std::vector<std::vector<sor::Path>> paths;
+  const std::vector<sor::Commodity> commodities = d.commodities();
   std::vector<std::vector<double>> weights;
   for (const sor::Commodity& c : commodities) {
-    const auto& list = ps.paths(c.s, c.t);
-    paths.push_back(list);
-    weights.emplace_back(list.size(), c.amount / static_cast<double>(list.size()));
+    const std::size_t count = ps.refs(c.s, c.t).size();
+    weights.emplace_back(count, c.amount / static_cast<double>(count));
   }
-  return sor::congestion_of_weights(g, commodities, paths, weights);
+  return sor::congestion_of_weights(
+      g, commodities, sor::flat_candidates(ps, commodities), weights);
 }
 
 }  // namespace

@@ -262,7 +262,7 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
   const obs::TraceSpan span("install", "engine");
   const auto start = Clock::now();
   util::ThreadPool* workers = pool();
-  // Reinstall into the EXISTING system when one is bound to our graph:
+  // Reinstall into the EXISTING system (always bound to our graph):
   // begin_reinstall() drops the pair index but keeps the interning arena,
   // sampling appends the new paths' slabs behind the (now dead) old ones,
   // and compact_store() slides them down in place. The arena stays bounded
@@ -271,10 +271,10 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
   // order are identical to a fresh install, and every consumer reads slab
   // contents through remapped refs, so route results are bit-identical to
   // the replace-the-system behavior this supersedes.
-  if (paths_ && paths_->flat_for(*graph_)) {
-    paths_->begin_reinstall();
+  if (installed_) {
+    installed_->begin_reinstall();
   } else {
-    paths_.emplace(*graph_);
+    installed_.emplace(*graph_);
   }
   // An arena that is empty before sampling ends up holding only the new
   // slabs, all live and laid end to end, so compaction would be the
@@ -283,7 +283,7 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
   // column pool is retired outright (otherwise the compaction remap below
   // retires dead refs; they cannot alias because sampling appends past the
   // old end).
-  const bool arena_was_empty = paths_->store().arena_size() == 0;
+  const bool arena_was_empty = installed_->store().arena_size() == 0;
   if (arena_was_empty && warm_state_) warm_state_->columns.clear();
   if (!(spec.pairs.empty() && !spec.all_pairs)) {  // else: explicit empty
     std::vector<std::pair<int, int>> all;
@@ -294,16 +294,16 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
     }
     if (spec.with_cut) {
       sample_path_system_with_cut_into(*backend_, spec.alpha, *pairs, rng_,
-                                       workers, *paths_);
+                                       workers, *installed_);
     } else {
       sample_path_system_into(*backend_, spec.alpha, *pairs, rng_, workers,
-                              *paths_);
+                              *installed_);
     }
   }
   if (!arena_was_empty) {
     const obs::TraceSpan compact_span("compact", "install");
     PathRemap remap;
-    paths_->compact_store(&remap);
+    installed_->compact_store(&remap);
     // Carry the column pool across the reinstall: surviving refs rewrite
     // through the remap, dropped ones retire their pair's entry. The
     // edge-level warm seed is untouched — it is version-insensitive to
@@ -313,17 +313,17 @@ const PathSystem& SorEngine::install_paths(const SamplingSpec& spec) {
   }
   ++paths_version_;
   sample_ms_ = ms_since(start);
-  return *paths_;
+  return *installed_;
 }
 
 SorEngine::MemStats SorEngine::mem_stats() const {
   MemStats stats;
-  if (paths_) {
-    const PathStore& store = paths_->store();
+  if (installed_) {
+    const PathStore& store = installed_->store();
     stats.arena_ints = store.arena_size();
     stats.arena_capacity = store.arena_capacity();
     stats.live_paths = store.num_paths();
-    stats.installed_pairs = paths_->num_pairs();
+    stats.installed_pairs = installed_->num_pairs();
   }
   stats.rss_bytes = runtime::rss_bytes();
   return stats;
@@ -406,11 +406,11 @@ obs::MetricsRegistry SorEngine::metrics() const {
 }
 
 const PathSystem& SorEngine::paths() const {
-  if (!paths_) {
+  if (!installed_) {
     throw std::logic_error(
         "SorEngine: install_paths() has not been called yet");
   }
-  return *paths_;
+  return *installed_;
 }
 
 void SorEngine::require_installed_pairs(const Demand& demand) const {
@@ -519,7 +519,7 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
       }
       if ((spec.round_integral || spec.simulate_packets) &&
           !st.columns.empty()) {
-        build_rounding_seed(*paths_, demand, st.columns, rounding_seed);
+        build_rounding_seed(*installed_, demand, st.columns, rounding_seed);
         hooks.rounding_seed = &rounding_seed;
       }
     }
@@ -569,7 +569,7 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
     if (out.integral && j < out.integral->choices.size()) {
       choices = out.integral->choices[j];
     }
-    st.columns.record(c.s, c.t, paths_->refs(c.s, c.t),
+    st.columns.record(c.s, c.t, installed_->refs(c.s, c.t),
                       out.solution.weights[j], choices);
   }
   if (replayable) {
@@ -609,7 +609,7 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
                                Rng& rng, runtime::EngineScratch& scratch,
                                RouteReport& out,
                                const warm::RouteWarmHooks* hooks) const {
-  const PathSystem& ps = *paths_;
+  const PathSystem& ps = *installed_;
 
   // Service counters are always on (relaxed atomic bumps — no allocation,
   // no influence on results); spans cost one atomic load while tracing is

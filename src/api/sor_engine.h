@@ -450,7 +450,7 @@ class SorEngine {
 
   const Graph& graph() const { return *graph_; }
   const ObliviousRouting& backend() const { return *backend_; }
-  bool has_paths() const { return paths_.has_value(); }
+  bool has_paths() const { return installed_.has_value(); }
   /// The frozen PathSystem; throws std::logic_error before install_paths().
   const PathSystem& paths() const;
 
@@ -527,7 +527,7 @@ class SorEngine {
   /// declares the knob and the caller's spec left it unpinned, so
   /// rebuild_backend() refreshes it from the live pool width.
   bool owns_threads_knob_ = false;
-  std::optional<PathSystem> paths_;
+  std::optional<PathSystem> installed_;
   Rng rng_{1};
   int threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;

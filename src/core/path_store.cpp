@@ -46,10 +46,10 @@ std::int64_t PathStore::extend(std::size_t ints, std::size_t paths) {
   return static_cast<std::int64_t>(end);
 }
 
-PathRef PathStore::write_slab(std::int64_t offset, const Path& path) {
-  assert(g_ != nullptr && "PathStore interning requires a bound graph");
+PathRef PathStore::write_slab(std::int64_t offset,
+                              std::span<const int> path) {
   assert(!path.empty());
-  const int hops = hop_count(path);
+  const int hops = static_cast<int>(path.size()) - 1;
   assert(offset >= 0 && static_cast<std::size_t>(offset) + slab_ints(hops) <=
                             data_.size());
   int* slab = data_.data() + offset;
@@ -78,7 +78,7 @@ PathRef PathStore::write_slab(std::int64_t offset, const Path& path) {
 }
 
 PathRef PathStore::adopt(const PathStore& other, PathRef ref) {
-  assert(g_ != nullptr && g_ == other.g_ &&
+  assert(g_ == other.g_ &&
          "adopt requires both stores bound to the same graph");
   PathRef rebased;
   rebased.offset = static_cast<std::int64_t>(data_.size());
@@ -124,37 +124,6 @@ PathRemap PathStore::compact(std::span<const PathRef> live) {
   data_.resize(static_cast<std::size_t>(write));  // capacity retained
   num_paths_ = slabs.size();
   return remap;
-}
-
-FlatCandidates flatten_candidates(
-    const Graph& g, const std::vector<std::vector<Path>>& paths) {
-  FlatCandidates flat;
-  std::size_t total_paths = 0;
-  std::size_t total_edges = 0;
-  for (const auto& list : paths) {
-    total_paths += list.size();
-    for (const Path& p : list) {
-      total_edges += static_cast<std::size_t>(hop_count(p));
-    }
-  }
-  flat.reserve(total_paths, total_edges);
-  std::vector<int> scratch;
-  for (const auto& list : paths) {
-    for (const Path& p : list) {
-      scratch.clear();
-      const int hops = hop_count(p);
-      scratch.reserve(static_cast<std::size_t>(hops));
-      for (int i = 0; i < hops; ++i) {
-        const int e = g.edge_between(p[static_cast<std::size_t>(i)],
-                                     p[static_cast<std::size_t>(i) + 1]);
-        assert(e >= 0 && "consecutive path vertices must be adjacent");
-        scratch.push_back(e);
-      }
-      flat.add_path(scratch);
-    }
-    flat.end_commodity();
-  }
-  return flat;
 }
 
 }  // namespace sor

@@ -62,15 +62,14 @@ class PathRemap {
 /// Append-only interning arena for simple paths of one fixed graph.
 class PathStore {
  public:
-  PathStore() = default;
   /// Binds the store to `g` (not owned; must outlive the store's use).
   explicit PathStore(const Graph& g) : g_(&g) {}
 
-  /// The bound graph, or nullptr for a default-constructed store.
+  /// The bound graph (identity: a store serves exactly this object).
   const Graph* graph() const { return g_; }
 
   /// Interns `path`, resolving each hop to its canonical edge id exactly
-  /// once. Requires a bound graph; throws std::invalid_argument (in every
+  /// once. Throws std::invalid_argument (in every
   /// build type) if consecutive vertices are not adjacent in it — e.g.
   /// when merging a path system built on a structurally different graph.
   PathRef intern(const Path& path);
@@ -90,7 +89,7 @@ class PathStore {
   /// range extend() returned), resolving each hop to its canonical edge id.
   /// Throws std::invalid_argument, like intern, on a non-adjacent hop; the
   /// caller rolls back with truncate.
-  PathRef write_slab(std::int64_t offset, const Path& path);
+  PathRef write_slab(std::int64_t offset, std::span<const int> path);
 
   /// Drops every int at or past `size` and sets the path count to `paths`:
   /// the rollback of an interning that failed part-way.
@@ -143,7 +142,7 @@ class PathStore {
   std::size_t arena_capacity() const { return data_.capacity(); }
 
  private:
-  const Graph* g_ = nullptr;
+  const Graph* g_;
   std::vector<int> data_;
   std::size_t num_paths_ = 0;
 };
@@ -151,9 +150,8 @@ class PathStore {
 /// Flat, path-major arena of candidate edge ids for a commodity list:
 /// commodity j's candidate i occupies one contiguous span. This is the
 /// representation the MWU inner loop, rounding, and congestion accounting
-/// iterate — built once per solve, with zero hashing when the source is a
-/// graph-bound PathSystem (gather from interned spans) and one hash per hop
-/// otherwise (flatten_candidates).
+/// iterate. Built once per solve by gathering interned edge-id spans from a
+/// PathSystem's arena (flat_candidates in path_system.h), with zero hashing.
 class FlatCandidates {
  public:
   /// Pre-sizes all three internal vectors. `commodities == 0` (the common
@@ -208,11 +206,5 @@ class FlatCandidates {
   std::vector<std::int64_t> path_first_{0};       // prefix over paths
   std::vector<std::int64_t> commodity_first_{0};  // prefix over path indices
 };
-
-/// Legacy bridge: resolves vertex-sequence candidates through
-/// Graph::edge_between (one hash lookup per hop) into a flat arena. The
-/// fast, zero-hashing gather lives in path_system.h (flat_candidates).
-FlatCandidates flatten_candidates(const Graph& g,
-                                  const std::vector<std::vector<Path>>& paths);
 
 }  // namespace sor

@@ -3,28 +3,31 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <iterator>
+#include <span>
+#include <string>
 
+#include "fault/sor_error.h"
 #include "graph/maxflow.h"
 #include "obs/trace.h"
 
 namespace sor {
 
-void PathSystem::add_path(int s, int t, Path path) {
+void PathSystem::add_path(int s, int t, const Path& path) {
   assert(s != t);
   assert(!path.empty() && path.front() == s && path.back() == t);
-#ifndef NDEBUG
-  if (n_ > 0) {
-    for (int v : path) assert(v >= 0 && v < n_ && "path vertex out of range");
-  }
-#endif
-  if (store_.graph() != nullptr) {
-    refs_[pair_key(s, t)].push_back(store_.intern(path));
-  }
-  auto& list = paths_[{s, t}];
-  list.push_back(std::move(path));
+  const PathRef ref = store_.intern(path);
+  auto& refs = refs_[pair_key(s, t)];
+  refs.push_back(ref);
   ++total_paths_;
-  sparsity_ = std::max(sparsity_, list.size());
+  sparsity_ = std::max(sparsity_, refs.size());
+}
+
+void PathSystem::require_bound_to(const Graph& g, const char* site) const {
+  if (bound_to(g)) return;
+  throw SorError(ErrorCode::kGraphMismatch, site,
+                 std::string(site) +
+                     ": the path system is bound to a different Graph "
+                     "object than the one routed on");
 }
 
 namespace {
@@ -43,12 +46,19 @@ void for_each_index(util::ThreadPool* pool, std::size_t n,
 }  // namespace
 
 void PathSystem::add_paths(const std::vector<std::pair<int, int>>& pairs,
-                           std::vector<std::vector<Path>>&& paths,
+                           const std::vector<std::span<const int>>& packed,
                            util::ThreadPool* pool) {
-  assert(paths.size() == pairs.size());
-  const bool bound = store_.graph() != nullptr;
-  std::vector<std::vector<PathRef>> pair_refs(bound ? pairs.size() : 0);
-  if (bound) {
+  assert(packed.size() == pairs.size());
+  // Calls body(h, vertices) for each path packed in `buf`.
+  const auto for_each_packed = [](std::span<const int> buf, const auto& body) {
+    for (std::size_t pos = 0; pos < buf.size();) {
+      const int hops = buf[pos];
+      body(hops, buf.subspan(pos + 1, static_cast<std::size_t>(hops) + 1));
+      pos += static_cast<std::size_t>(hops) + 2;
+    }
+  };
+  std::vector<std::vector<PathRef>> pair_refs(pairs.size());
+  {
     const obs::TraceSpan span("intern", "install");
     // One serial prefix sum over the slab sizes gives every pair the
     // offset the add_path loop would give it; the arena then grows once.
@@ -59,21 +69,21 @@ void PathSystem::add_paths(const std::vector<std::pair<int, int>>& pairs,
     std::size_t count = 0;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       first[i] = static_cast<std::int64_t>(size_before + ints);
-      for (const Path& path : paths[i]) {
-        ints += PathStore::slab_ints(hop_count(path));
-      }
-      count += paths[i].size();
+      for_each_packed(packed[i], [&](int hops, std::span<const int>) {
+        ints += PathStore::slab_ints(hops);
+        ++count;
+      });
     }
     store_.extend(ints, count);
     try {
       for_each_index(pool, pairs.size(), [&](std::size_t i) {
         std::int64_t offset = first[i];
-        pair_refs[i].reserve(paths[i].size());
-        for (const Path& path : paths[i]) {
+        for_each_packed(packed[i], [&](int hops, std::span<const int> path) {
+          assert(path.front() == pairs[i].first &&
+                 path.back() == pairs[i].second);
           pair_refs[i].push_back(store_.write_slab(offset, path));
-          offset += static_cast<std::int64_t>(
-              PathStore::slab_ints(hop_count(path)));
-        }
+          offset += static_cast<std::int64_t>(PathStore::slab_ints(hops));
+        });
       });
     } catch (...) {
       store_.truncate(size_before, paths_before);
@@ -82,50 +92,29 @@ void PathSystem::add_paths(const std::vector<std::pair<int, int>>& pairs,
   }
 
   const obs::TraceSpan span("index", "install");
-  if (bound) refs_.reserve(refs_.size() + pairs.size());
+  refs_.reserve(refs_.size() + pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    std::vector<Path>& added = paths[i];
+    std::vector<PathRef>& added = pair_refs[i];
     if (added.empty()) continue;
     const auto [s, t] = pairs[i];
-#ifndef NDEBUG
     assert(s != t);
-    for (const Path& path : added) {
-      assert(!path.empty() && path.front() == s && path.back() == t);
-      for (int v : path) {
-        assert((n_ == 0 || (v >= 0 && v < n_)) && "path vertex out of range");
-      }
-    }
-#endif
     total_paths_ += added.size();
-    if (bound) {
-      auto& refs = refs_[pair_key(s, t)];
-      if (refs.empty()) {
-        refs = std::move(pair_refs[i]);
-      } else {
-        refs.insert(refs.end(), pair_refs[i].begin(), pair_refs[i].end());
-      }
-    }
-    // The end hint makes each insertion O(1) when pairs arrive sorted, as
-    // the samplers' pair lists usually do. Stored lists are never empty,
-    // so an empty one was just created.
-    auto& list = paths_.try_emplace(paths_.end(), pairs[i])->second;
-    if (list.empty()) {
-      list = std::move(added);
+    auto& refs = refs_[pair_key(s, t)];
+    if (refs.empty()) {
+      refs = std::move(added);
     } else {
-      list.insert(list.end(), std::make_move_iterator(added.begin()),
-                  std::make_move_iterator(added.end()));
+      refs.insert(refs.end(), added.begin(), added.end());
     }
-    sparsity_ = std::max(sparsity_, list.size());
+    sparsity_ = std::max(sparsity_, refs.size());
   }
 }
 
-const std::vector<Path>& PathSystem::paths(int s, int t) const {
-  // One immutable empty list for every miss across every instance; a
-  // per-instance member would tie the returned reference's lifetime to the
-  // queried object and invite accidental mutation through const lookups.
-  static const std::vector<Path> kNoPaths;
-  auto it = paths_.find({s, t});
-  return it == paths_.end() ? kNoPaths : it->second;
+std::vector<Path> PathSystem::paths(int s, int t) const {
+  const auto pair_refs = refs(s, t);
+  std::vector<Path> out;
+  out.reserve(pair_refs.size());
+  for (PathRef ref : pair_refs) out.push_back(store_.to_path(ref));
+  return out;
 }
 
 std::span<const PathRef> PathSystem::refs(int s, int t) const {
@@ -134,12 +123,22 @@ std::span<const PathRef> PathSystem::refs(int s, int t) const {
   return {it->second.data(), it->second.size()};
 }
 
-bool PathSystem::has_pair(int s, int t) const {
-  return paths_.find({s, t}) != paths_.end();
+std::vector<std::pair<int, int>> PathSystem::pairs() const {
+  // Packed keys of non-negative vertex ids sort lexicographically by (s, t).
+  std::vector<std::int64_t> keys;
+  keys.reserve(refs_.size());
+  for (const auto& entry : refs_) keys.push_back(entry.first);
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::pair<int, int>> out;
+  out.reserve(keys.size());
+  for (std::int64_t key : keys) {
+    out.emplace_back(static_cast<int>(key >> 32),
+                     static_cast<int>(static_cast<std::uint32_t>(key)));
+  }
+  return out;
 }
 
 void PathSystem::begin_reinstall() {
-  paths_.clear();
   refs_.clear();
   sparsity_ = 0;
   total_paths_ = 0;
@@ -149,15 +148,13 @@ void PathSystem::begin_reinstall() {
 }
 
 std::size_t PathSystem::compact_store(PathRemap* out_remap) {
-  if (store_.graph() == nullptr) return 0;
   const std::size_t before = store_.arena_size();
-  // Gather live refs in ORDERED pair-map order so the compacted layout (and
-  // with it every downstream arena dump) is deterministic regardless of
-  // refs_'s unordered iteration order.
+  // PathStore::compact orders live slabs by offset, so the compacted layout
+  // does not depend on refs_'s unordered iteration order.
   std::vector<PathRef> live;
   live.reserve(total_paths_);
-  for (const auto& [pair, list] : paths_) {
-    for (PathRef ref : refs(pair.first, pair.second)) live.push_back(ref);
+  for (const auto& [key, refs] : refs_) {
+    live.insert(live.end(), refs.begin(), refs.end());
   }
   PathRemap remap = store_.compact(live);
   for (auto& [key, refs] : refs_) {
@@ -168,42 +165,28 @@ std::size_t PathSystem::compact_store(PathRemap* out_remap) {
 }
 
 void PathSystem::merge(const PathSystem& other) {
-  assert(n_ == 0 || other.num_vertices() == 0 || n_ == other.num_vertices());
-  // When both systems are interned against the same graph, slabs are copied
-  // arena-to-arena without re-resolving edges; otherwise (this bound, other
-  // not or differently bound) paths are re-interned through edge_between.
-  const bool adopt =
-      store_.graph() != nullptr && store_.graph() == other.store_.graph();
+  const bool adopt = store_.graph() == other.store_.graph();
   std::vector<PathRef> staged;
-  for (const auto& [pair, list] : other.entries()) {
-    if (store_.graph() != nullptr) {
-      // Stage the pair's refs before touching refs_/paths_: intern may
-      // throw (untransferable path), and refs(s,t) must stay aligned with
-      // paths(s,t) — a caller that catches keeps a consistent system with
-      // every fully-processed pair merged and the failing pair untouched.
-      staged.clear();
-      if (adopt) {
-        for (PathRef ref : other.refs(pair.first, pair.second)) {
-          staged.push_back(store_.adopt(other.store_, ref));
-        }
-      } else {
-        for (const Path& p : list) staged.push_back(store_.intern(p));
-      }
-      auto& refs = refs_[pair_key(pair.first, pair.second)];
-      refs.insert(refs.end(), staged.begin(), staged.end());
+  for (const auto& [s, t] : other.pairs()) {
+    // Stage the pair's refs before touching refs_: intern may throw
+    // (untransferable path), and a caller that catches keeps a consistent
+    // system with every fully-processed pair merged and the failing pair
+    // untouched.
+    staged.clear();
+    for (PathRef ref : other.refs(s, t)) {
+      staged.push_back(adopt ? store_.adopt(other.store_, ref)
+                             : store_.intern(other.store_.to_path(ref)));
     }
-    auto& mine = paths_[pair];
-    mine.insert(mine.end(), list.begin(), list.end());
-    total_paths_ += list.size();
-    sparsity_ = std::max(sparsity_, mine.size());
+    auto& refs = refs_[pair_key(s, t)];
+    refs.insert(refs.end(), staged.begin(), staged.end());
+    total_paths_ += staged.size();
+    sparsity_ = std::max(sparsity_, refs.size());
   }
 }
 
 void flat_candidates_into(const PathSystem& ps,
                           const std::vector<Commodity>& commodities,
                           FlatCandidates& out) {
-  assert(ps.store().graph() != nullptr &&
-         "flat_candidates requires a graph-bound path system");
   const PathStore& store = ps.store();
   out.clear();
   std::size_t total_paths = 0;
@@ -243,23 +226,48 @@ void sample_pairs_into(const ObliviousRouting& routing,
                        const std::vector<std::pair<int, int>>& pairs,
                        Rng& rng, util::ThreadPool* pool,
                        const DrawCount& draws, PathSystem& ps) {
-  assert(ps.flat_for(routing.graph()) &&
+  assert(ps.bound_to(routing.graph()) &&
          "sample_pairs_into requires a system bound to the routing's graph");
   std::vector<Rng> streams = rng.split(pairs.size());
-  std::vector<std::vector<Path>> sampled(pairs.size());
+  // Contiguous chunks of pairs each sample into one packed buffer, so an
+  // install allocates a few buffers rather than one vector per path: freeing
+  // those, across threads, cost about as much as interning them.
+  const std::size_t chunks =
+      pool == nullptr
+          ? 1
+          : std::min(pairs.size(),
+                     4 * static_cast<std::size_t>(pool->num_threads()));
+  std::vector<std::vector<int>> buffers(chunks);
+  std::vector<std::size_t> end(pairs.size());  // pair's end in its buffer
+  const auto chunk_first = [&](std::size_t c) {
+    return c * pairs.size() / chunks;
+  };
   {
     const obs::TraceSpan span("sample", "install");
-    for_each_index(pool, pairs.size(), [&](std::size_t i) {
-      const auto [s, t] = pairs[i];
-      if (s == t) return;
-      const int count = draws(i);
-      sampled[i].reserve(static_cast<std::size_t>(count));
-      for (int k = 0; k < count; ++k) {
-        sampled[i].push_back(routing.sample_path(s, t, streams[i]));
+    for_each_index(pool, chunks, [&](std::size_t c) {
+      std::vector<int>& buf = buffers[c];
+      for (std::size_t i = chunk_first(c); i < chunk_first(c + 1); ++i) {
+        const auto [s, t] = pairs[i];
+        const int count = s == t ? 0 : draws(i);
+        for (int k = 0; k < count; ++k) {
+          const Path path = routing.sample_path(s, t, streams[i]);
+          buf.push_back(hop_count(path));
+          buf.insert(buf.end(), path.begin(), path.end());
+        }
+        end[i] = buf.size();
       }
     });
   }
-  ps.add_paths(pairs, std::move(sampled), pool);
+  std::vector<std::span<const int>> packed(pairs.size());
+  for (std::size_t c = 0; c < chunks; ++c) {
+    std::size_t begin = 0;
+    for (std::size_t i = chunk_first(c); i < chunk_first(c + 1); ++i) {
+      packed[i] =
+          std::span<const int>(buffers[c]).subspan(begin, end[i] - begin);
+      begin = end[i];
+    }
+  }
+  ps.add_paths(pairs, packed, pool);
 }
 
 }  // namespace

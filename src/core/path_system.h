@@ -6,18 +6,17 @@
 // are fixed obliviously (Stage 2); route weights are chosen adaptively per
 // demand by core/semi_oblivious.h (Stage 4).
 //
-// Storage is two-layered. The boundary layer keeps vertex-sequence `Path`s
-// in a std::map — the representation backends, serialization, and tests
-// speak. A graph-BOUND system (constructed from a Graph, as every sampler
-// does) additionally interns each path into a flat PathStore arena with
-// precomputed edge ids, indexed by packed (s,t) int64 key -> [PathRef]; the
-// hot consumers (route_fractional's MWU loop, rounding, packet simulation)
-// iterate those spans with zero hashing and zero allocation, and produce
-// bit-identical results to the boundary representation.
+// Storage. A path system is bound to the Graph it was sampled on, and each
+// installed path lives exactly once: interned into a flat PathStore arena
+// (vertex ids and precomputed edge ids in one slab), with one index from the
+// packed (s, t) key to the pair's PathRefs in insertion order. The hot
+// consumers (route_fractional's MWU loop, rounding, the deletion process,
+// packet simulation) read edge-id spans straight from the arena with zero
+// hashing; vertex-sequence `Path`s are materialized only at cold boundaries
+// (paths(s, t), serialization, the solutions' path lists).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -37,38 +36,45 @@ namespace sor {
 /// `sparsity()` counts paths with multiplicity, matching |P(s, t)| <= alpha.
 class PathSystem {
  public:
-  PathSystem() = default;
-  explicit PathSystem(int num_vertices) : n_(num_vertices) {}
-  /// Graph-bound construction: paths are additionally interned into the
-  /// flat PathStore with edge ids precomputed at insertion. `g` is not
-  /// owned and must outlive every add_path/merge/flat access.
-  explicit PathSystem(const Graph& g)
-      : n_(g.num_vertices()), store_(g) {}
+  /// Binds the system to `g`: every path is interned against it, edge ids
+  /// precomputed at insertion. `g` is not owned and must outlive the system.
+  explicit PathSystem(const Graph& g) : store_(g) {}
 
-  int num_vertices() const { return n_; }
+  int num_vertices() const { return store_.graph()->num_vertices(); }
 
-  /// Appends a candidate (s, t)-path. The path must run from s to t; in
-  /// debug builds every vertex is validated against num_vertices().
-  void add_path(int s, int t, Path path);
+  /// True iff this system was built bound to exactly `g`, i.e. its interned
+  /// edge ids are valid for `g`.
+  bool bound_to(const Graph& g) const { return store_.graph() == &g; }
 
-  /// Bulk add_path: appends paths[i] to pair pairs[i] for every i, leaving
-  /// the arena, refs(s, t) and paths(s, t) bit-identical to calling
-  /// add_path on each path in pair order. Each pair's slabs land at the
-  /// prefix-sum offset that loop would give them, so interning fans out
-  /// over `pool` (null = inline) with every pair writing its own range.
-  /// Pairs with no paths are skipped. A non-adjacent hop throws
-  /// std::invalid_argument (in every build type) and leaves the system,
-  /// and `paths`, exactly as they were.
+  /// Throws SorError{kGraphMismatch, site} (every build type) unless the
+  /// system is bound to exactly `g`: edge ids interned against another
+  /// Graph object would index the wrong edges.
+  void require_bound_to(const Graph& g, const char* site) const;
+
+  /// Appends a candidate (s, t)-path, interning it. The path must run from
+  /// s to t; a non-adjacent hop throws std::invalid_argument.
+  void add_path(int s, int t, const Path& path);
+
+  /// Bulk add_path: appends the paths packed in packed[i] to pair pairs[i]
+  /// for every i, each path as its hop count h followed by its h + 1
+  /// vertices (views, so a caller can pack many pairs into one buffer). The
+  /// arena and refs(s, t) end up bit-identical to calling add_path on each
+  /// path in pair order: each pair's slabs land at the prefix-sum offset
+  /// that loop would give them, so interning fans out over `pool` (null =
+  /// inline) with every pair writing its own range. Pairs with no paths are
+  /// skipped. A non-adjacent hop throws std::invalid_argument (in every
+  /// build type) and leaves the system exactly as it was.
   void add_paths(const std::vector<std::pair<int, int>>& pairs,
-                 std::vector<std::vector<Path>>&& paths,
+                 const std::vector<std::span<const int>>& packed,
                  util::ThreadPool* pool = nullptr);
 
-  /// Candidate paths for a pair. A miss returns a reference to a single
-  /// immutable program-wide empty list: no allocation, no per-instance
-  /// state, safe to call concurrently on a const PathSystem.
-  const std::vector<Path>& paths(int s, int t) const;
+  /// Candidate paths for a pair, materialized from the arena (empty on a
+  /// miss). A cold boundary accessor: hot loops read refs() and the store.
+  std::vector<Path> paths(int s, int t) const;
 
-  bool has_pair(int s, int t) const;
+  bool has_pair(int s, int t) const {
+    return refs_.find(pair_key(s, t)) != refs_.end();
+  }
 
   /// max_{(s,t)} |P(s, t)| (with multiplicity). O(1): maintained on insert.
   std::size_t sparsity() const { return sparsity_; }
@@ -77,54 +83,43 @@ class PathSystem {
   std::size_t total_paths() const { return total_paths_; }
 
   /// Number of pairs with at least one path.
-  std::size_t num_pairs() const { return paths_.size(); }
+  std::size_t num_pairs() const { return refs_.size(); }
 
-  /// Deterministic iteration over (pair -> paths).
-  const std::map<std::pair<int, int>, std::vector<Path>>& entries() const {
-    return paths_;
-  }
+  /// Every pair with at least one path, in lexicographic (s, t) order: the
+  /// deterministic iteration order for merge, serialization and robustness.
+  std::vector<std::pair<int, int>> pairs() const;
 
   /// Merges another path system into this one (pairwise union of path
-  /// lists; used by the multi-scale completion-time construction, Lemma 2.8).
-  /// When this system is graph-bound, other's paths are re-interned against
-  /// OUR graph (slabs are adopted arena-to-arena when both are bound to the
-  /// same graph); a path that does not transfer — consecutive vertices not
-  /// adjacent here — throws std::invalid_argument rather than storing a
-  /// poisoned edge id.
+  /// lists, in other's pair order; used by the multi-scale completion-time
+  /// construction, Lemma 2.8). Slabs are adopted arena-to-arena when both
+  /// systems are bound to the same graph; otherwise each path is re-interned
+  /// against OUR graph, and one that does not transfer — consecutive
+  /// vertices not adjacent here — throws std::invalid_argument rather than
+  /// storing a poisoned edge id.
   void merge(const PathSystem& other);
 
-  // ---- flat substrate (graph-bound systems only) -----------------------
-
-  /// True iff this system was built bound to exactly `g`, i.e. the interned
-  /// edge-id spans below are valid for `g` and hot loops may use them.
-  bool flat_for(const Graph& g) const { return store_.graph() == &g; }
-
-  /// The interning arena (empty for unbound systems).
+  /// The interning arena.
   const PathStore& store() const { return store_; }
 
-  /// Interned refs for a pair, in the same order as paths(s, t). Empty for
-  /// a miss or an unbound system.
+  /// Interned refs for a pair, in insertion order. Empty for a miss.
   std::span<const PathRef> refs(int s, int t) const;
 
   // ---- reinstall lifecycle (service runtime) ---------------------------
 
   /// Begins a reinstall cycle on a long-lived system: drops the pair index
-  /// (paths_, refs_, counters) but KEEPS the interning arena — the old
-  /// slabs become dead weight that the post-sampling compact_store() call
-  /// reclaims in place. Container capacities (including the per-pair ref
-  /// vectors' node allocations) are released with the index; the arena,
-  /// which dominates the footprint, is not.
+  /// (refs_, counters) but KEEPS the interning arena — the old slabs become
+  /// dead weight that the post-sampling compact_store() call reclaims in
+  /// place. The index's capacity is released with it; the arena, which
+  /// dominates the footprint, is not.
   void begin_reinstall();
 
   /// In-place GC of the interning arena: compacts the store down to the
   /// slabs currently referenced by the pair index and rewrites every ref
-  /// through the remap. Layout is deterministic — live slabs are gathered
-  /// by iterating the ORDERED pair map, not the unordered ref index — so a
-  /// fixed seed still yields a bit-identical arena. No-op for unbound
-  /// systems. Returns the number of ints reclaimed. A non-null `out_remap`
-  /// receives the compaction's remap so OUTSIDE holders of refs into the
-  /// store (the warm-start column pool) can rewrite — or retire — theirs
-  /// through PathRemap::try_remap.
+  /// through the remap. Live slabs keep their arena order, so a fixed seed
+  /// still yields a bit-identical arena. Returns the number of ints
+  /// reclaimed. A non-null `out_remap` receives the compaction's remap so
+  /// OUTSIDE holders of refs into the store (the warm-start column pool) can
+  /// rewrite — or retire — theirs through PathRemap::try_remap.
   std::size_t compact_store(PathRemap* out_remap = nullptr);
 
  private:
@@ -133,8 +128,6 @@ class PathSystem {
            static_cast<std::uint32_t>(t);
   }
 
-  int n_ = 0;
-  std::map<std::pair<int, int>, std::vector<Path>> paths_;
   PathStore store_;
   std::unordered_map<std::int64_t, std::vector<PathRef>> refs_;
   std::size_t sparsity_ = 0;
@@ -142,14 +135,14 @@ class PathSystem {
 };
 
 /// Zero-hashing gather: the flat candidate view of `commodities` over a
-/// graph-bound path system (spans copied straight from the interning
-/// arena). Requires ps.flat_for(the graph the commodities live on).
+/// path system (edge-id spans copied straight from the interning arena),
+/// valid for the graph `ps` is bound to.
 FlatCandidates flat_candidates(const PathSystem& ps,
                                const std::vector<Commodity>& commodities);
 
 /// Scratch-reusing variant: clears `out` (capacity retained) and refills
-/// it with the identical gather — the steady-state form route_fractional's
-/// scratch path uses to rebuild candidates with zero allocation once warm.
+/// it with the identical gather — the steady-state form route_fractional_into
+/// uses to rebuild candidates with zero allocation once warm.
 void flat_candidates_into(const PathSystem& ps,
                           const std::vector<Commodity>& commodities,
                           FlatCandidates& out);

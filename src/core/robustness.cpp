@@ -22,19 +22,18 @@ Graph remove_edges(const Graph& g, const std::vector<int>& failed_edges) {
 
 PathSystem surviving_paths(const Graph& g, const PathSystem& ps,
                            const std::vector<int>& failed_edges) {
+  ps.require_bound_to(g, "surviving_paths");
   std::vector<char> failed(static_cast<std::size_t>(g.num_edges()), 0);
   for (int e : failed_edges) failed[static_cast<std::size_t>(e)] = 1;
+  const PathStore& store = ps.store();
   PathSystem out(g);
-  for (const auto& [pair, list] : ps.entries()) {
-    for (const Path& p : list) {
-      bool ok = true;
-      for (int e : path_edge_ids(g, p)) {
-        if (failed[static_cast<std::size_t>(e)]) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) out.add_path(pair.first, pair.second, p);
+  for (const auto& [s, t] : ps.pairs()) {
+    for (PathRef ref : ps.refs(s, t)) {
+      const auto edges = store.edge_ids(ref);
+      const bool ok = std::none_of(edges.begin(), edges.end(), [&](int e) {
+        return failed[static_cast<std::size_t>(e)] != 0;
+      });
+      if (ok) out.add_path(s, t, store.to_path(ref));
     }
   }
   return out;
@@ -53,7 +52,7 @@ FailureReport evaluate_under_failures(const Graph& g, const PathSystem& ps,
 
   Demand covered;
   for (const auto& [pair, value] : d.entries()) {
-    if (!survivors.paths(pair.first, pair.second).empty()) {
+    if (survivors.has_pair(pair.first, pair.second)) {
       covered.set(pair.first, pair.second, value);
       ++report.pairs_covered;
       report.demand_covered += value;
@@ -92,15 +91,18 @@ PathSystem repair_path_system(const Graph& failed_graph,
                               const ObliviousRouting& routing,
                               const PathSystem& survivors, const Demand& d,
                               int alpha, Rng& rng) {
-  PathSystem repaired = survivors;
+  // Survivors are bound to the pre-failure graph; merging re-interns them
+  // against the failed one (vertex ids are preserved and no surviving path
+  // crosses a removed edge), so the result routes on `failed_graph`.
+  PathSystem repaired(failed_graph);
+  repaired.merge(survivors);
   for (const auto& [pair, value] : d.entries()) {
-    if (!survivors.paths(pair.first, pair.second).empty()) continue;
+    if (survivors.has_pair(pair.first, pair.second)) continue;
     for (int i = 0; i < alpha; ++i) {
       repaired.add_path(pair.first, pair.second,
                         routing.sample_path(pair.first, pair.second, rng));
     }
   }
-  (void)failed_graph;
   return repaired;
 }
 

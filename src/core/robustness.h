@@ -27,7 +27,8 @@ namespace sor {
 /// ids are NOT (callers should treat the result as a fresh graph).
 Graph remove_edges(const Graph& g, const std::vector<int>& failed_edges);
 
-/// Removes every candidate path that crosses a failed edge.
+/// Removes every candidate path that crosses a failed edge. `ps` must be
+/// bound to `g` (SorError{kGraphMismatch} otherwise); so is the result.
 PathSystem surviving_paths(const Graph& g, const PathSystem& ps,
                            const std::vector<int>& failed_edges);
 
@@ -58,7 +59,8 @@ std::vector<int> sample_failures(const Graph& g, int count, Rng& rng);
 
 /// Repair: resample `alpha` fresh candidates (from `routing`, which must
 /// be defined on the failed graph) for every demand pair the failures left
-/// uncovered. Returns the repaired path system (survivors + new paths).
+/// uncovered. Returns the repaired path system (survivors + new paths),
+/// bound to `failed_graph` so it routes there.
 PathSystem repair_path_system(const Graph& failed_graph,
                               const ObliviousRouting& routing,
                               const PathSystem& survivors, const Demand& d,

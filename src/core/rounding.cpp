@@ -11,8 +11,8 @@
 namespace sor {
 namespace {
 
-/// Edge ids are resolved once per rounding entry point (one hash per hop);
-/// every trial / local-search move then iterates flat spans.
+/// Every trial and local-search move iterates the solution's flat edge-id
+/// spans, gathered once from the path system's arena at route time.
 std::vector<double> loads_of_choices(const Graph& g,
                                      const FlatCandidates& flat,
                                      const IntegralSolution& solution) {
@@ -46,8 +46,7 @@ double integral_congestion(const Graph& g, const FlatCandidates& flat,
 }  // namespace
 
 double integral_congestion(const Graph& g, IntegralSolution& solution) {
-  return integral_congestion(g, flatten_candidates(g, solution.paths),
-                             solution);
+  return integral_congestion(g, solution.flat, solution);
 }
 
 IntegralSolution round_randomized(const Graph& g,
@@ -55,20 +54,17 @@ IntegralSolution round_randomized(const Graph& g,
                                   Rng& rng, int trials,
                                   const std::vector<std::vector<int>>* seed_choices) {
   assert(trials >= 1);
+  // Seed and trials carry only their choices and loads; the winner gets the
+  // commodities and candidates once, at the end.
   IntegralSolution best;
-  best.commodities = fractional.commodities;
-  best.paths = fractional.paths;
   best.congestion = std::numeric_limits<double>::infinity();
-
-  const FlatCandidates flat = flatten_candidates(g, fractional.paths);
+  const FlatCandidates& flat = fractional.flat;
 
   // Warm-start seed candidate (no rng consumed; see header contract). The
   // random trials below start from this as the incumbent, so the returned
   // solution is never worse than the seeded previous-epoch assignment.
   if (seed_choices != nullptr) {
     IntegralSolution seeded;
-    seeded.commodities = fractional.commodities;
-    seeded.paths = fractional.paths;
     seeded.choices.resize(fractional.commodities.size());
     for (std::size_t j = 0; j < fractional.commodities.size(); ++j) {
       const int units = static_cast<int>(
@@ -101,8 +97,6 @@ IntegralSolution round_randomized(const Graph& g,
 
   for (int trial = 0; trial < trials; ++trial) {
     IntegralSolution candidate;
-    candidate.commodities = fractional.commodities;
-    candidate.paths = fractional.paths;
     candidate.choices.resize(fractional.commodities.size());
     for (std::size_t j = 0; j < fractional.commodities.size(); ++j) {
       const int units = static_cast<int>(
@@ -119,6 +113,9 @@ IntegralSolution round_randomized(const Graph& g,
     integral_congestion(g, flat, candidate);
     if (candidate.congestion < best.congestion) best = std::move(candidate);
   }
+  best.commodities = fractional.commodities;
+  best.paths = fractional.paths;
+  best.flat = fractional.flat;
   return best;
 }
 
@@ -159,19 +156,19 @@ void branch(BranchState& st, std::size_t unit_index, double current_max) {
 
 double exact_integral_congestion(const Graph& g,
                                  const std::vector<Commodity>& commodities,
-                                 const std::vector<std::vector<Path>>& paths,
+                                 const FlatCandidates& candidates,
                                  long work_limit) {
-  const FlatCandidates flat = flatten_candidates(g, paths);
+  assert(candidates.num_commodities() == commodities.size());
   BranchState st;
   st.g = &g;
-  st.flat = &flat;
+  st.flat = &candidates;
   st.load.assign(static_cast<std::size_t>(g.num_edges()), 0.0);
   st.best = std::numeric_limits<double>::infinity();
   st.work = 0;
   st.work_limit = work_limit;
   for (std::size_t j = 0; j < commodities.size(); ++j) {
     const int units = static_cast<int>(std::llround(commodities[j].amount));
-    assert(units == 0 || !paths[j].empty());
+    assert(units == 0 || candidates.num_paths(j) > 0);
     for (int u = 0; u < units; ++u) st.units.emplace_back(j, u);
   }
   if (st.units.empty()) return 0.0;
@@ -181,7 +178,7 @@ double exact_integral_congestion(const Graph& g,
 
 void local_search_improve(const Graph& g, IntegralSolution& solution,
                           int max_moves) {
-  const FlatCandidates flat = flatten_candidates(g, solution.paths);
+  const FlatCandidates& flat = solution.flat;
   integral_congestion(g, flat, solution);
   auto& load = solution.edge_load;
 

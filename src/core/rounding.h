@@ -18,6 +18,9 @@ namespace sor {
 struct IntegralSolution {
   std::vector<Commodity> commodities;
   std::vector<std::vector<Path>> paths;
+  /// The candidates' edge ids, flat.edges(j, i) for paths[j][i] (carried
+  /// over from the fractional solution; see SemiObliviousSolution::flat).
+  FlatCandidates flat;
   std::vector<std::vector<int>> choices;
   std::vector<double> edge_load;
   double congestion = 0.0;
@@ -28,7 +31,8 @@ struct IntegralSolution {
 /// check inside round_randomized use this one constant.
 inline constexpr double kIntegralTolerance = 1e-6;
 
-/// Exact congestion of an integral assignment (recomputes edge loads).
+/// Exact congestion of an integral assignment (recomputes edge loads from
+/// solution.flat).
 double integral_congestion(const Graph& g, IntegralSolution& solution);
 
 /// Lemma 6.3 randomized rounding: each demand unit independently picks a
@@ -61,7 +65,7 @@ void local_search_improve(const Graph& g, IntegralSolution& solution,
 /// congestion found (optimal if the limit was not hit).
 double exact_integral_congestion(const Graph& g,
                                  const std::vector<Commodity>& commodities,
-                                 const std::vector<std::vector<Path>>& paths,
+                                 const FlatCandidates& candidates,
                                  long work_limit = 2000000);
 
 }  // namespace sor

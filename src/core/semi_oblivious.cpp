@@ -10,95 +10,41 @@
 namespace sor {
 namespace {
 
-SemiObliviousSolution assemble(const Graph& g,
-                               std::vector<Commodity> commodities,
-                               std::vector<std::vector<Path>> paths,
-                               CongestionResult result) {
-  SemiObliviousSolution solution;
-  solution.commodities = std::move(commodities);
-  solution.paths = std::move(paths);
-  solution.weights = std::move(result.path_weights);
-  solution.edge_load = std::move(result.edge_load);
-  solution.congestion = result.congestion;
-  solution.lower_bound = result.lower_bound;
-  solution.status = result.status;
-  solution.optimality_gap = result.optimality_gap;
-  solution.rounds_used = result.rounds_used;
-  solution.max_hops = 0;
-  for (std::size_t j = 0; j < solution.paths.size(); ++j) {
-    for (std::size_t i = 0; i < solution.paths[j].size(); ++i) {
-      if (solution.weights[j][i] > 1e-12) {
-        solution.max_hops =
-            std::max(solution.max_hops, hop_count(solution.paths[j][i]));
-      }
-    }
-  }
-  (void)g;
-  return solution;
-}
-
-/// The candidates of a demanded pair. A positive demand on a pair without
-/// candidates is a typed error in every build type: dropping it would
-/// report a congestion that ignores part of the demand.
-const std::vector<Path>& covered_candidates(const PathSystem& ps,
-                                            const Commodity& c) {
-  const auto& list = ps.paths(c.s, c.t);
-  if (c.amount > 0.0 && list.empty()) {
-    std::ostringstream msg;
-    msg << "route_fractional: demand pair (" << c.s << ", " << c.t
-        << ") has no candidate paths in the path system";
-    throw SorError(ErrorCode::kUninstalledPair, "route_fractional",
-                   msg.str());
-  }
-  return list;
-}
-
-std::vector<std::vector<Path>> gather_candidates(
-    const PathSystem& ps, const std::vector<Commodity>& commodities) {
-  std::vector<std::vector<Path>> paths;
-  paths.reserve(commodities.size());
-  for (const Commodity& c : commodities) {
-    paths.push_back(covered_candidates(ps, c));
-  }
-  return paths;
-}
-
-}  // namespace
-
-void route_fractional_into(const Graph& g, const PathSystem& ps,
-                           const Demand& d,
-                           const MinCongestionOptions& options,
-                           RouteScratch& scratch, SemiObliviousSolution& out) {
+/// Refills out.commodities, out.paths and out.flat with d's support and its
+/// candidates, read from the arena. Each nested buffer keeps its capacity,
+/// so under a stable demand shape the refill allocates nothing. A positive
+/// demand on a pair without candidates is a typed error in every build
+/// type: dropping it would report a congestion that ignores part of the
+/// demand.
+void gather_into(const Graph& g, const PathSystem& ps, const Demand& d,
+                 SemiObliviousSolution& out) {
+  ps.require_bound_to(g, "route_fractional");
   d.commodities_into(out.commodities);
   const std::size_t k = out.commodities.size();
-
-  // Candidate COPIES into the solution's reused nested buffers: resize +
-  // assign keep capacity at every nesting level, so under a stable demand
-  // shape this refill allocates nothing.
+  const PathStore& store = ps.store();
   out.paths.resize(k);
   for (std::size_t j = 0; j < k; ++j) {
     const Commodity& c = out.commodities[j];
-    const auto& list = covered_candidates(ps, c);
-    out.paths[j].resize(list.size());
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      out.paths[j][i].assign(list[i].begin(), list[i].end());
+    const auto refs = ps.refs(c.s, c.t);
+    if (c.amount > 0.0 && refs.empty()) {
+      std::ostringstream msg;
+      msg << "route_fractional: demand pair (" << c.s << ", " << c.t
+          << ") has no candidate paths in the path system";
+      throw SorError(ErrorCode::kUninstalledPair, "route_fractional",
+                     msg.str());
+    }
+    out.paths[j].resize(refs.size());
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      const auto verts = store.vertices(refs[i]);
+      out.paths[j][i].assign(verts.begin(), verts.end());
     }
   }
+  flat_candidates_into(ps, out.commodities, out.flat);
+}
 
-  // Graph-bound systems carry interned edge-id spans: the whole solve runs
-  // on the flat representation with zero hashing. Unbound systems resolve
-  // edges once through the legacy bridge. Both produce bit-identical
-  // results (same candidates, same iteration order, same arithmetic).
-  if (ps.flat_for(g)) {
-    flat_candidates_into(ps, out.commodities, scratch.flat);
-    min_congestion_over_paths_into(g, out.commodities, scratch.flat, options,
-                                   scratch.mwu, scratch.result);
-  } else {
-    scratch.result =
-        min_congestion_over_paths(g, out.commodities, out.paths, options);
-  }
-
-  const CongestionResult& result = scratch.result;
+/// Copies the solver's result into `out` (capacity-retaining assigns).
+void take_result(const CongestionResult& result, SemiObliviousSolution& out) {
+  const std::size_t k = out.commodities.size();
   out.weights.resize(k);
   for (std::size_t j = 0; j < k; ++j) {
     out.weights[j].assign(result.path_weights[j].begin(),
@@ -111,13 +57,26 @@ void route_fractional_into(const Graph& g, const PathSystem& ps,
   out.optimality_gap = result.optimality_gap;
   out.rounds_used = result.rounds_used;
   out.max_hops = 0;
-  for (std::size_t j = 0; j < out.paths.size(); ++j) {
-    for (std::size_t i = 0; i < out.paths[j].size(); ++i) {
+  for (std::size_t j = 0; j < k; ++j) {
+    for (std::size_t i = 0; i < out.weights[j].size(); ++i) {
       if (out.weights[j][i] > 1e-12) {
-        out.max_hops = std::max(out.max_hops, hop_count(out.paths[j][i]));
+        out.max_hops = std::max(
+            out.max_hops, static_cast<int>(out.flat.edges(j, i).size()));
       }
     }
   }
+}
+
+}  // namespace
+
+void route_fractional_into(const Graph& g, const PathSystem& ps,
+                           const Demand& d,
+                           const MinCongestionOptions& options,
+                           RouteScratch& scratch, SemiObliviousSolution& out) {
+  gather_into(g, ps, d, out);
+  min_congestion_over_paths_into(g, out.commodities, out.flat, options,
+                                 scratch.mwu, scratch.result);
+  take_result(scratch.result, out);
 }
 
 SemiObliviousSolution route_fractional(const Graph& g, const PathSystem& ps,
@@ -132,11 +91,11 @@ SemiObliviousSolution route_fractional(const Graph& g, const PathSystem& ps,
 SemiObliviousSolution route_fractional_exact(const Graph& g,
                                              const PathSystem& ps,
                                              const Demand& d) {
-  auto commodities = d.commodities();
-  auto paths = gather_candidates(ps, commodities);
-  auto result = min_congestion_over_paths_exact(g, commodities, paths);
-  return assemble(g, std::move(commodities), std::move(paths),
-                  std::move(result));
+  SemiObliviousSolution out;
+  gather_into(g, ps, d, out);
+  take_result(min_congestion_over_paths_exact(g, out.commodities, out.flat),
+              out);
+  return out;
 }
 
 OptimalCongestion optimal_congestion(const Graph& g, const Demand& d,

@@ -17,6 +17,10 @@ namespace sor {
 struct SemiObliviousSolution {
   std::vector<Commodity> commodities;           ///< demand support, in order
   std::vector<std::vector<Path>> paths;         ///< candidates per commodity
+  /// The same candidates' edge ids, gathered from the path system's arena:
+  /// flat.edges(j, i) is paths[j][i]'s edge sequence. Rounding and local
+  /// search read it instead of re-resolving edges.
+  FlatCandidates flat;
   std::vector<std::vector<double>> weights;     ///< rates per candidate
   std::vector<double> edge_load;
   double congestion = 0.0;     ///< exact cong of the returned weights
@@ -31,19 +35,19 @@ struct SemiObliviousSolution {
   int rounds_used = 0;
 };
 
-/// Routes `d` over `ps` with the MWU engine. Every support pair of `d` must
+/// Routes `d` over `ps` with the MWU engine. `ps` must be bound to exactly
+/// `g` (else SorError{kGraphMismatch}), and every support pair of `d` must
 /// have at least one candidate path in `ps`; one without throws
 /// SorError{kUninstalledPair} (all three route_fractional* entry points).
 SemiObliviousSolution route_fractional(const Graph& g, const PathSystem& ps,
                                        const Demand& d,
                                        const MinCongestionOptions& options = {});
 
-/// Reusable scratch for route_fractional_into: the flat candidate gather,
-/// the MWU solver's working set, and the solver result staging buffer. All
-/// capacity-retaining — repeated routes of stable shape through one scratch
-/// allocate nothing.
+/// Reusable scratch for route_fractional_into: the MWU solver's working set
+/// and the solver result staging buffer. Both capacity-retaining — repeated
+/// routes of stable shape through one scratch (and one reused solution, which
+/// holds the candidate gather) allocate nothing.
 struct RouteScratch {
-  FlatCandidates flat;
   MinCongestionScratch mwu;
   CongestionResult result;
 };

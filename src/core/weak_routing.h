@@ -21,12 +21,10 @@
 namespace sor {
 
 struct DeletionProcessResult {
-  /// Per-candidate edge ids, resolved exactly once per call: gathered
-  /// straight from the interned PathStore spans when the path system is
-  /// bound to the host graph, through Graph::edge_between otherwise.
-  /// flat.edges(j, i) parallels paths[j][i]; downstream consumers (the
-  /// iterative-halving reduction, benches) iterate these spans instead of
-  /// re-resolving edges per use.
+  /// Per-candidate edge ids, gathered once per call from the path system's
+  /// arena. flat.edges(j, i) parallels paths[j][i]; downstream consumers
+  /// (the iterative-halving reduction, benches) iterate these spans instead
+  /// of re-resolving edges per use.
   FlatCandidates flat;
   /// d' — the fractional sub-demand actually routed (d'(s,t) <= d(s,t)).
   Demand routed;
@@ -48,6 +46,7 @@ struct DeletionProcessResult {
 
 /// One pass of the Lemma 5.6 deletion process at threshold `gamma` (edges
 /// processed in id order, matching the paper's fixed arbitrary order).
+/// `ps` must be bound to exactly `g`: SorError{kGraphMismatch} otherwise.
 DeletionProcessResult run_deletion_process(const Graph& g,
                                            const PathSystem& ps,
                                            const Demand& d, double gamma);

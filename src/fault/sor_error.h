@@ -3,9 +3,10 @@
 // Every recoverable failure the engine can hit while serving — malformed
 // demand entries, uninstalled pairs, stream read/truncation errors, bad
 // capacities, scratch-arena allocation failure, worker faults, a
-// disconnected graph under a tree backend — is thrown
-// as a SorError carrying a stable {code, site, detail} triple. The scale
-// and scenario layers dispatch on `code` (BatchSpec::on_error,
+// disconnected graph under a tree or shortest-path backend, a path system
+// routed on a graph it is not bound to, a non-positive edge length — is
+// thrown as a SorError carrying a stable {code, site, detail} triple. The
+// scale and scenario layers dispatch on `code` (BatchSpec::on_error,
 // scenario DegradePolicy) instead of string-matching what().
 //
 // SorError derives std::invalid_argument and preserves the exact legacy
@@ -31,6 +32,8 @@ enum class ErrorCode {
   kWorkerFault = 6,      ///< exception inside a route_batch worker
   kInstallFault = 7,     ///< Stage 2 (install_paths) failed
   kInfiniteDistance = 8, ///< a backend's metric has a non-finite distance
+  kGraphMismatch = 9,    ///< path system bound to another Graph object
+  kBadLength = 10,       ///< non-finite or non-positive edge length
 };
 
 inline const char* error_code_name(ErrorCode code) {
@@ -44,6 +47,8 @@ inline const char* error_code_name(ErrorCode code) {
     case ErrorCode::kWorkerFault: return "worker_fault";
     case ErrorCode::kInstallFault: return "install_fault";
     case ErrorCode::kInfiniteDistance: return "infinite_distance";
+    case ErrorCode::kGraphMismatch: return "graph_mismatch";
+    case ErrorCode::kBadLength: return "bad_length";
   }
   return "unknown";
 }

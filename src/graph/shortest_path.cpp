@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 #include <utility>
+
+#include "fault/sor_error.h"
 
 namespace sor {
 
@@ -250,9 +253,17 @@ Path shortest_path_hops(const Graph& g, int s, int t) {
 ShortestPathSampler::ShortestPathSampler(const Graph& g)
     : g_(&g), dist_(all_pairs_hop_distances(g)) {}
 
+void ShortestPathSampler::require_reachable(int s, int t) const {
+  if (hop_distance(s, t) != kUnreachable) return;
+  throw SorError(ErrorCode::kInfiniteDistance, "shortest_path_sampler",
+                 "shortest_path_sampler: vertex " + std::to_string(t) +
+                     " is unreachable from vertex " + std::to_string(s) +
+                     " (disconnected graph)");
+}
+
 Path ShortestPathSampler::walk_back(int s, int t, Rng* rng) const {
+  require_reachable(s, t);
   const auto& ds = dist_[static_cast<std::size_t>(s)];
-  assert(ds[static_cast<std::size_t>(t)] != kUnreachable);
   // Walk from t back towards s along tight edges, collecting vertices.
   Path reversed = {t};
   int v = t;

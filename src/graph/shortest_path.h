@@ -155,11 +155,16 @@ class ShortestPathSampler {
     return dist_[static_cast<std::size_t>(s)][static_cast<std::size_t>(t)];
   }
 
-  /// Random shortest path from s to t. Requires reachability.
+  /// Throws SorError{kInfiniteDistance, "shortest_path_sampler"} (every
+  /// build type) when t is unreachable from s.
+  void require_reachable(int s, int t) const;
+
+  /// Random shortest path from s to t; require_reachable's error otherwise.
   Path sample(int s, int t, Rng& rng) const;
 
   /// Deterministic shortest path (always the lexicographically-first
-  /// predecessor choice). Used for 1-sparse deterministic baselines.
+  /// predecessor choice). Used for 1-sparse deterministic baselines. Same
+  /// error as sample() on an unreachable pair.
   Path deterministic(int s, int t) const;
 
   const Graph& graph() const { return *g_; }

@@ -104,10 +104,10 @@ std::optional<Demand> read_demand(std::istream& in) {
 
 void write_path_system(std::ostream& out, const PathSystem& ps) {
   out << "# path system: s t v0 v1 ... vk\n";
-  for (const auto& [pair, list] : ps.entries()) {
-    for (const Path& p : list) {
-      out << pair.first << ' ' << pair.second;
-      for (int v : p) out << ' ' << v;
+  for (const auto& [s, t] : ps.pairs()) {
+    for (PathRef ref : ps.refs(s, t)) {
+      out << s << ' ' << t;
+      for (int v : ps.store().vertices(ref)) out << ' ' << v;
       out << '\n';
     }
   }

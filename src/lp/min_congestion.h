@@ -242,19 +242,10 @@ struct MinCongestionScratch {
 };
 
 /// Fractional min-congestion routing of `commodities` where commodity j may
-/// only use `candidate_paths[j]`. Each candidate must be a valid s_j-t_j
-/// path; a commodity with amount > 0 and no candidate throws
-/// SorError{kUninstalledPair} (every build type).
-CongestionResult min_congestion_over_paths(
-    const Graph& g, const std::vector<Commodity>& commodities,
-    const std::vector<std::vector<Path>>& candidate_paths,
-    const MinCongestionOptions& options = {});
-
-/// Same solve over the flat, pre-resolved edge-id representation (the hot
-/// path: no hashing, no per-call edge resolution, contiguous iteration).
-/// `candidates` must hold one commodity entry per commodity, in order;
-/// the same SorError as above guards uncovered commodities. Produces results
-/// bit-identical to the vertex-sequence overload on the same candidates.
+/// only use its candidates in `candidates` (the flat, pre-resolved edge-id
+/// representation: no hashing, contiguous iteration). `candidates` must hold
+/// one commodity entry per commodity, in order; a commodity with amount > 0
+/// and no candidate throws SorError{kUninstalledPair} (every build type).
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
     const FlatCandidates& candidates,
@@ -290,27 +281,22 @@ void min_congestion_free_into(const Graph& g,
                               MinCongestionScratch& scratch,
                               CongestionResult& out);
 
-/// Exact LP (dense simplex) version of min_congestion_over_paths. Intended
-/// for small instances; returns optimal congestion and weights.
+/// Exact LP (dense simplex) version of min_congestion_over_paths: the
+/// independent oracle the MWU is validated against. Intended for small
+/// instances; returns optimal congestion and weights.
 CongestionResult min_congestion_over_paths_exact(
     const Graph& g, const std::vector<Commodity>& commodities,
-    const std::vector<std::vector<Path>>& candidate_paths);
+    const FlatCandidates& candidates);
 
 /// Exact LP (edge-flow formulation) optimum over all paths; small instances
 /// only. Only `congestion` is populated (plus lower_bound == congestion).
 double min_congestion_free_exact(const Graph& g,
                                  const std::vector<Commodity>& commodities);
 
-/// Exact congestion (max_e load/cap) of explicit per-commodity path weights.
-double congestion_of_weights(const Graph& g,
-                             const std::vector<Commodity>& commodities,
-                             const std::vector<std::vector<Path>>& paths,
-                             const std::vector<std::vector<double>>& weights,
-                             std::vector<double>* edge_load = nullptr);
-
-/// Flat-representation variant (no hashing; bit-identical result). A
-/// non-null `edge_load` is written IN PLACE (assign + accumulate, capacity
-/// retained) — allocation-free once the caller's vector is warm.
+/// Exact congestion (max_e load/cap) of explicit per-commodity path weights
+/// over flat candidates. A non-null `edge_load` is written IN PLACE (assign +
+/// accumulate, capacity retained) — allocation-free once the caller's vector
+/// is warm.
 double congestion_of_weights(const Graph& g,
                              const std::vector<Commodity>& commodities,
                              const FlatCandidates& candidates,

@@ -76,9 +76,32 @@ ShortestPathMetric::ShortestPathMetric(const FlatAdjacency& adj,
   if (diameter_ <= 0.0) diameter_ = 1.0;
 }
 
+namespace {
+
+/// `edge_length` itself, once every entry is finite and positive. A zero
+/// length puts two vertices at distance 0 inside every ball, so their
+/// cluster would never split and the partition loop would not terminate.
+const std::vector<double>& positive_lengths(
+    const std::vector<double>& edge_length) {
+  for (std::size_t e = 0; e < edge_length.size(); ++e) {
+    if (!(std::isfinite(edge_length[e]) && edge_length[e] > 0.0)) {
+      throw SorError(ErrorCode::kBadLength, "frt_lengths",
+                     "FrtTree: edge " + std::to_string(e) + " has length " +
+                         std::to_string(edge_length[e]) +
+                         "; lengths must be finite and > 0");
+    }
+  }
+  return edge_length;
+}
+
+}  // namespace
+
 FrtTree::FrtTree(const Graph& g, const std::vector<double>& edge_length,
                  Rng& rng)
-    : FrtTree(g, ShortestPathMetric(FlatAdjacency(g), edge_length), rng) {}
+    : FrtTree(g,
+              ShortestPathMetric(FlatAdjacency(g),
+                                 positive_lengths(edge_length)),
+              rng) {}
 
 FrtTree::FrtTree(const Graph& g, const ShortestPathMetric& metric, Rng& rng) {
   const int n = g.num_vertices();

@@ -82,8 +82,9 @@ class FrtTree {
   /// its all-pairs Dijkstra cost.
   FrtTree(const Graph& g, const ShortestPathMetric& metric, Rng& rng);
 
-  /// Builds a random FRT tree w.r.t. `edge_length` (> 0 per edge),
-  /// computing the metric for this tree alone. Throws like
+  /// Builds a random FRT tree w.r.t. `edge_length`, computing the metric
+  /// for this tree alone. Throws SorError{kBadLength, "frt_lengths"} (every
+  /// build type) unless every length is finite and > 0, and like
   /// ShortestPathMetric when the graph is disconnected.
   FrtTree(const Graph& g, const std::vector<double>& edge_length, Rng& rng);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "api/backend_registry.h"
@@ -35,7 +36,11 @@ void recursive_sample(const ShortestPathSampler& sampler, int s, int t,
   int count = 0;
   for (int w = 0; w < g.num_vertices(); ++w) {
     if (w == s || w == t) continue;
-    if (sampler.hop_distance(s, w) + sampler.hop_distance(w, t) <= budget) {
+    // 64-bit sum: an unreachable leg (kUnreachable = INT_MAX) must not
+    // overflow into a negative length that passes the budget test.
+    if (static_cast<std::int64_t>(sampler.hop_distance(s, w)) +
+            sampler.hop_distance(w, t) <=
+        budget) {
       ++count;
       if (rng.uniform_u64(static_cast<std::uint64_t>(count)) == 0) chosen = w;
     }
@@ -72,8 +77,8 @@ int HopConstrainedRouting::dilation_bound(int s, int t) const {
 
 Path HopConstrainedRouting::sample_path(int s, int t, Rng& rng) const {
   assert(s != t);
+  sampler_->require_reachable(s, t);
   const int direct = sampler_->hop_distance(s, t);
-  assert(direct != kUnreachable);
   const int budget = std::max(hop_bound_, direct);
   // Depth ~ log2(budget) puts waypoints every couple of hops, which is what
   // makes long alternative routes (not just shortest paths) reachable.

@@ -29,7 +29,7 @@ namespace sor::runtime {
 
 /// Everything one route_one call scratches on, pre-warmed across calls.
 struct EngineScratch {
-  RouteScratch route;            ///< restricted MWU + flat candidate gather
+  RouteScratch route;            ///< restricted MWU working set
   OptimumScratch optimum;        ///< free-path MWU (offline optimum oracle)
   DistanceBoundScratch distance; ///< distance-duality lower bound
   std::vector<Path> packet_paths;  ///< packet-simulation staging

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fault/sor_error.h"
 #include "graph/generators.h"
 #include "oblivious/valiant.h"
 
@@ -188,8 +189,8 @@ TEST(SorEngine, FreshInstallArenaIsAlreadyCompact) {
     const PathSystem& installed = engine.install_paths(spec);
     const auto arena = installed.store().arena();
     std::size_t live_ints = 0;
-    for (const auto& [pair, list] : installed.entries()) {
-      for (PathRef ref : installed.refs(pair.first, pair.second)) {
+    for (const auto& [s, t] : installed.pairs()) {
+      for (PathRef ref : installed.refs(s, t)) {
         live_ints += PathStore::slab_ints(ref.hops);
       }
     }
@@ -200,8 +201,8 @@ TEST(SorEngine, FreshInstallArenaIsAlreadyCompact) {
     const auto compacted = copy.store().arena();
     EXPECT_TRUE(std::equal(arena.begin(), arena.end(), compacted.begin(),
                            compacted.end()));
-    for (const auto& [pair, list] : installed.entries()) {
-      for (PathRef ref : installed.refs(pair.first, pair.second)) {
+    for (const auto& [s, t] : installed.pairs()) {
+      for (PathRef ref : installed.refs(s, t)) {
         EXPECT_EQ(remap(ref).offset, ref.offset);
       }
     }
@@ -246,6 +247,35 @@ TEST(SorEngine, RoundingAndPacketSimulation) {
   const RouteReport frac_report = engine.route(fractional, spec);
   EXPECT_FALSE(frac_report.integral.has_value());
   EXPECT_FALSE(frac_report.simulation.has_value());
+}
+
+TEST(SorEngine, ShortestPathBackendsThrowOnDisconnectedGraphs) {
+  // Two disjoint 3-vertex paths. Sampling an unreachable pair used to die
+  // from SIGFPE (uniform_u64(0)) or SIGSEGV (min_element of no choices).
+  Graph two_paths(6);
+  two_paths.add_edge(0, 1);
+  two_paths.add_edge(1, 2);
+  two_paths.add_edge(3, 4);
+  two_paths.add_edge(4, 5);
+  for (const char* backend :
+       {"shortest_path", "shortest_path_det", "hop_constrained"}) {
+    SCOPED_TRACE(backend);
+    for (int threads : {1, 4}) {
+      SorEngine engine =
+          SorEngine::build(Graph(two_paths), backend, 1, threads);
+      try {
+        engine.install_paths(SamplingSpec{.alpha = 2});
+        FAIL() << "install_paths sampled an unreachable pair";
+      } catch (const SorError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kInfiniteDistance);
+        EXPECT_EQ(e.site(), "shortest_path_sampler");
+      }
+      // Pairs inside one component still install and route.
+      SamplingSpec within{.alpha = 2};
+      within.pairs = {{0, 2}, {5, 3}};
+      EXPECT_EQ(engine.install_paths(within).num_pairs(), 2u);
+    }
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <limits>
 
 #include "api/sor_engine.h"
+#include "candidate_lists.h"
 #include "core/demand.h"
 #include "fault/fault_plan.h"
 #include "fault/sor_error.h"
@@ -160,9 +161,10 @@ TEST(FaultPlan, GlobalPlanInstallAndClear) {
 struct RestrictedInstance {
   Graph g = gen::grid(4, 4, /*wrap=*/true);
   std::vector<Commodity> commodities;
-  std::vector<std::vector<Path>> candidates;
+  FlatCandidates candidates;
 
   RestrictedInstance() {
+    std::vector<std::vector<Path>> lists;
     Rng rng(17);
     for (int j = 0; j < 6; ++j) {
       const int s = rng.uniform_int(0, 15);
@@ -189,8 +191,9 @@ struct RestrictedInstance {
         }
       }
       if (simple) cands.push_back(via);
-      candidates.push_back(std::move(cands));
+      lists.push_back(std::move(cands));
     }
+    candidates = intern_candidates(g, lists);
   }
 };
 

@@ -19,6 +19,7 @@
 
 #include "../bench/legacy_free_path_mwu.h"
 #include "api/sor_engine.h"
+#include "candidate_lists.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "util/rng.h"
@@ -174,9 +175,10 @@ TEST_P(FastMathRestrictedSweep, RestrictedSolverWithinContract) {
   exact_opts.rounds = 400;
   MinCongestionOptions fast_opts = exact_opts;
   fast_opts.fast_math = true;
-  const auto exact = min_congestion_over_paths(g, commodities, paths,
+  const FlatCandidates candidates = intern_candidates(g, paths);
+  const auto exact = min_congestion_over_paths(g, commodities, candidates,
                                                exact_opts);
-  const auto fast = min_congestion_over_paths(g, commodities, paths,
+  const auto fast = min_congestion_over_paths(g, commodities, candidates,
                                               fast_opts);
   EXPECT_NEAR(fast.congestion, exact.congestion,
               contract_bound(exact.congestion));

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
+#include "fault/sor_error.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 
@@ -133,6 +138,30 @@ TEST(Frt, RespectsEdgeLengths) {
     tree.accumulate_embedding_load(g, load);
     EXPECT_DOUBLE_EQ(load[static_cast<std::size_t>(heavy)], 0.0);
   }
+}
+
+TEST(Frt, NonPositiveOrNonFiniteLengthIsATypedErrorInsteadOfHanging) {
+  // A zero length puts two vertices at distance 0 in every ball; before the
+  // check the partition loop never terminated on this path graph.
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& lengths :
+       {std::vector<double>{0.0, 1.0}, std::vector<double>{1.0, -2.0},
+        std::vector<double>{1.0, std::nan("")},
+        std::vector<double>{inf, 1.0}}) {
+    Rng rng(1);
+    try {
+      FrtTree tree(g, lengths, rng);
+      FAIL() << "FrtTree accepted a non-positive or non-finite length";
+    } catch (const SorError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadLength);
+      EXPECT_EQ(e.site(), "frt_lengths");
+    }
+  }
+  Rng rng(1);
+  EXPECT_NO_THROW(FrtTree(g, std::vector<double>{0.5, 1.0}, rng));
 }
 
 }  // namespace

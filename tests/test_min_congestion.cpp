@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "candidate_lists.h"
 #include "fault/sor_error.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
@@ -15,7 +16,7 @@ TEST(MinCongestion, CongestionOfWeightsComputesLoads) {
   g.add_edge(0, 1, 2.0);
   g.add_edge(1, 2, 1.0);
   const std::vector<Commodity> demand = {{0, 2, 3.0}};
-  const std::vector<std::vector<Path>> paths = {{{0, 1, 2}}};
+  const FlatCandidates paths = intern_candidates(g, {{{0, 1, 2}}});
   const std::vector<std::vector<double>> weights = {{3.0}};
   std::vector<double> load;
   const double cong = congestion_of_weights(g, demand, paths, weights, &load);
@@ -28,7 +29,7 @@ TEST(MinCongestion, SingleCommoditySinglePath) {
   Graph g(2);
   g.add_edge(0, 1, 1.0);
   const std::vector<Commodity> demand = {{0, 1, 2.0}};
-  const std::vector<std::vector<Path>> paths = {{{0, 1}}};
+  const FlatCandidates paths = intern_candidates(g, {{{0, 1}}});
   const auto result = min_congestion_over_paths(g, demand, paths);
   EXPECT_NEAR(result.congestion, 2.0, 1e-9);
   EXPECT_NEAR(result.path_weights[0][0], 2.0, 1e-9);
@@ -43,7 +44,7 @@ TEST(MinCongestion, SplitsAcrossParallelPaths) {
   g.add_edge(0, 2);
   g.add_edge(2, 3);
   const std::vector<Commodity> demand = {{0, 3, 2.0}};
-  const std::vector<std::vector<Path>> paths = {{{0, 1, 3}, {0, 2, 3}}};
+  const FlatCandidates paths = intern_candidates(g, {{{0, 1, 3}, {0, 2, 3}}});
   const auto result = min_congestion_over_paths(g, demand, paths);
   EXPECT_NEAR(result.congestion, 1.0, 0.05);
   EXPECT_NEAR(result.path_weights[0][0], 1.0, 0.1);
@@ -61,7 +62,7 @@ TEST(MinCongestion, RespectsCapacities) {
   g.add_edge(0, 2, 1.0);
   g.add_edge(2, 3, 1.0);
   const std::vector<Commodity> demand = {{0, 3, 4.0}};
-  const std::vector<std::vector<Path>> paths = {{{0, 1, 3}, {0, 2, 3}}};
+  const FlatCandidates paths = intern_candidates(g, {{{0, 1, 3}, {0, 2, 3}}});
   const auto exact = min_congestion_over_paths_exact(g, demand, paths);
   EXPECT_NEAR(exact.congestion, 1.0, 1e-6);
   const auto mwu = min_congestion_over_paths(g, demand, paths);
@@ -74,7 +75,7 @@ TEST(MinCongestion, ExactMatchesHandSolvedInstance) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
   const std::vector<Commodity> demand = {{0, 1, 1.0}, {0, 2, 1.0}};
-  const std::vector<std::vector<Path>> paths = {{{0, 1}}, {{0, 1, 2}}};
+  const FlatCandidates paths = intern_candidates(g, {{{0, 1}}, {{0, 1, 2}}});
   const auto exact = min_congestion_over_paths_exact(g, demand, paths);
   EXPECT_NEAR(exact.congestion, 2.0, 1e-6);  // edge (0,1) carries both
 }
@@ -163,8 +164,9 @@ void expect_sandwich(const CongestionResult& result, double lp_star,
 void random_restricted_instance(const Graph& g,
                                 const ShortestPathSampler& sampler, Rng& rng,
                                 std::vector<Commodity>& demand,
-                                std::vector<std::vector<Path>>& paths) {
+                                FlatCandidates& candidates) {
   const int n = g.num_vertices();
+  std::vector<std::vector<Path>> paths;
   for (int i = 0; i < 5; ++i) {
     int s = rng.uniform_int(0, n - 1);
     int t = rng.uniform_int(0, n - 1);
@@ -174,6 +176,7 @@ void random_restricted_instance(const Graph& g,
     for (int c = 0; c < 3; ++c) cands.push_back(sampler.sample(s, t, rng));
     paths.push_back(std::move(cands));
   }
+  candidates = intern_candidates(g, paths);
 }
 
 class MwuVsSimplexSweep : public ::testing::TestWithParam<int> {};
@@ -184,7 +187,7 @@ TEST_P(MwuVsSimplexSweep, RestrictedMwuNearExact) {
   ShortestPathSampler sampler(g);
 
   std::vector<Commodity> demand;
-  std::vector<std::vector<Path>> paths;
+  FlatCandidates paths;
   random_restricted_instance(g, sampler, rng, demand, paths);
   if (demand.empty()) return;
 
@@ -207,7 +210,7 @@ TEST_P(MwuVsSimplexSweep, RestrictedMwuNearExact) {
 
   // The warm tier is seeded from a different demand on the same graph.
   std::vector<Commodity> other_demand;
-  std::vector<std::vector<Path>> other_paths;
+  FlatCandidates other_paths;
   random_restricted_instance(g, sampler, rng, other_demand, other_paths);
   std::vector<double> captured;
   MinCongestionOptions capture = options;
@@ -272,7 +275,7 @@ TEST(MinCongestion, UncoveredCommodityIsATypedError) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  const std::vector<std::vector<Path>> paths = {{{0, 1}}, {}};
+  const FlatCandidates paths = intern_candidates(g, {{{0, 1}}, {}});
   // A zero-amount commodity may have no candidates...
   const std::vector<Commodity> idle = {{0, 1, 1.0}, {1, 2, 0.0}};
   EXPECT_NO_THROW(min_congestion_over_paths(g, idle, paths));

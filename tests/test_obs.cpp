@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "api/sor_engine.h"
+#include "candidate_lists.h"
 #include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
@@ -254,10 +255,11 @@ TEST(TraceRecorder, EventsStayReadableAfterDisable) {
 
 TEST(Convergence, RestrictedSolverIsBitIdenticalWithSinkAttached) {
   const Instance inst = grid_instance();
-  std::vector<std::vector<Path>> paths;
+  std::vector<std::vector<Path>> lists;
   for (const Commodity& c : inst.commodities) {
-    paths.push_back({shortest_path_hops(inst.g, c.s, c.t)});
+    lists.push_back({shortest_path_hops(inst.g, c.s, c.t)});
   }
+  const FlatCandidates paths = intern_candidates(inst.g, lists);
   MinCongestionOptions base;
   base.rounds = 60;
   base.target_gap = 1.0;  // never early-exit: fixed round count

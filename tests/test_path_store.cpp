@@ -1,7 +1,7 @@
 // The flat-memory path substrate: interning round-trips, ref stability
-// across append/merge, edge-id spans vs path_edge_ids, and old-vs-new
-// PathSystem representation equivalence on random graphs (the bit-identity
-// contract the hot loops rely on).
+// across append/merge, and every interned edge-id span checked against the
+// independent path_edge_ids (Graph::edge_between) on random graphs — the
+// contract the hot loops rely on.
 #include "core/path_store.h"
 
 #include <gtest/gtest.h>
@@ -9,8 +9,11 @@
 #include <vector>
 
 #include "api/sor_engine.h"
+#include "candidate_lists.h"
 #include "core/path_system.h"
 #include "core/semi_oblivious.h"
+#include "core/weak_routing.h"
+#include "fault/sor_error.h"
 #include "graph/generators.h"
 #include "oblivious/shortest_path_routing.h"
 
@@ -79,10 +82,10 @@ TEST(PathSystemFlat, BoundSystemsInternEveryPath) {
   RandomShortestPathRouting routing(g);
   Rng rng(7);
   const PathSystem ps = sample_path_system_all_pairs(routing, 3, rng);
-  ASSERT_TRUE(ps.flat_for(g));
+  ASSERT_TRUE(ps.bound_to(g));
   EXPECT_EQ(ps.store().num_paths(), ps.total_paths());
 
-  for (const auto& [pair, list] : ps.entries()) {
+  for (const auto& [pair, list] : candidate_lists(ps)) {
     const auto refs = ps.refs(pair.first, pair.second);
     ASSERT_EQ(refs.size(), list.size());
     for (std::size_t i = 0; i < list.size(); ++i) {
@@ -97,14 +100,36 @@ TEST(PathSystemFlat, BoundSystemsInternEveryPath) {
   }
 }
 
-TEST(PathSystemFlat, UnboundSystemsStayLegacy) {
-  PathSystem ps(4);
-  ps.add_path(0, 3, {0, 1, 3});
+/// A system bound to one Graph object is a typed error on any other one,
+/// even a structurally identical copy: its edge ids were interned against
+/// the first and are never silently re-resolved.
+TEST(PathSystemFlat, SystemBoundToAnotherGraphIsATypedError) {
   const Graph g = triangle_plus();
-  EXPECT_FALSE(ps.flat_for(g));
-  EXPECT_TRUE(ps.refs(0, 3).empty());
-  EXPECT_EQ(ps.store().num_paths(), 0u);
-  EXPECT_EQ(ps.paths(0, 3).size(), 1u);  // boundary layer unaffected
+  const Graph copy = triangle_plus();
+  PathSystem ps(g);
+  ps.add_path(0, 3, {0, 2, 3});
+  EXPECT_TRUE(ps.bound_to(g));
+  EXPECT_FALSE(ps.bound_to(copy));
+  Demand d;
+  d.set(0, 3, 1.0);
+  EXPECT_NO_THROW(route_fractional(g, ps, d));
+  EXPECT_NO_THROW(run_deletion_process(g, ps, d, 1.0));
+  const auto expect_mismatch = [](const auto& call, const std::string& site) {
+    try {
+      call();
+      FAIL() << site << " accepted a system bound to another graph";
+    } catch (const SorError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kGraphMismatch);
+      EXPECT_EQ(e.site(), site);
+    }
+  };
+  expect_mismatch([&] { route_fractional(copy, ps, d); }, "route_fractional");
+  expect_mismatch([&] { route_fractional_exact(copy, ps, d); },
+                  "route_fractional");
+  expect_mismatch([&] { run_deletion_process(copy, ps, d, 1.0); },
+                  "run_deletion_process");
+  expect_mismatch([&] { iterative_halving_route(copy, ps, d, 1.0); },
+                  "iterative_halving_route");
 }
 
 TEST(PathSystemFlat, CountersMatchRecount) {
@@ -114,7 +139,7 @@ TEST(PathSystemFlat, CountersMatchRecount) {
   PathSystem ps = sample_path_system_all_pairs(routing, 2, rng);
   std::size_t total = 0;
   std::size_t widest = 0;
-  for (const auto& [pair, list] : ps.entries()) {
+  for (const auto& [pair, list] : candidate_lists(ps)) {
     total += list.size();
     widest = std::max(widest, list.size());
   }
@@ -133,7 +158,7 @@ TEST(PathSystemFlat, MergeKeepsRefsValidAndAdopts) {
   EXPECT_EQ(a.refs(0, 8).size(), 5u);
   EXPECT_EQ(a.store().num_paths(), a.total_paths());
   // Every ref (old and adopted) resolves to its boundary path.
-  for (const auto& [pair, list] : a.entries()) {
+  for (const auto& [pair, list] : candidate_lists(a)) {
     const auto refs = a.refs(pair.first, pair.second);
     ASSERT_EQ(refs.size(), list.size());
     for (std::size_t i = 0; i < list.size(); ++i) {
@@ -163,21 +188,37 @@ TEST(PathSystemFlat, CrossGraphMergeOfUntransferablePathThrows) {
   EXPECT_THROW(on_a.merge(on_b), std::invalid_argument);
 }
 
-TEST(PathSystemFlat, MergeIntoUnboundKeepsBoundaryOnly) {
+/// Merging across Graph objects re-interns every path against the target's
+/// graph: the merged refs carry the target graph's edge ids, not the
+/// source's, even where the two graphs number their edges differently.
+TEST(PathSystemFlat, MergeAcrossGraphsReinternsEdgeIds) {
   const Graph g = gen::grid(3, 3);
+  // The same edges, added in reverse order: every edge id differs.
+  Graph reversed(g.num_vertices());
+  for (int e = g.num_edges() - 1; e >= 0; --e) {
+    reversed.add_edge(g.edge(e).u, g.edge(e).v, g.edge(e).capacity);
+  }
   RandomShortestPathRouting routing(g);
   Rng rng(5);
   const PathSystem bound = sample_path_system(routing, 2, {{0, 8}}, rng);
-  PathSystem unbound(g.num_vertices());
-  unbound.merge(bound);
-  EXPECT_EQ(unbound.paths(0, 8).size(), 2u);
-  EXPECT_TRUE(unbound.refs(0, 8).empty());
+  PathSystem target(reversed);
+  target.merge(bound);
+  EXPECT_EQ(target.paths(0, 8), bound.paths(0, 8));
+  const auto refs = target.refs(0, 8);
+  ASSERT_EQ(refs.size(), 2u);
+  for (PathRef ref : refs) {
+    const Path p = target.store().to_path(ref);
+    const auto want = path_edge_ids(reversed, p);
+    const auto got = target.store().edge_ids(ref);
+    EXPECT_EQ(std::vector<int>(got.begin(), got.end()), want);
+    EXPECT_NE(want, path_edge_ids(g, p));
+  }
 }
 
-/// Routing over a graph-bound system (zero-hashing gather from interned
-/// spans) gives EXACTLY the same output as routing over an unbound clone
-/// (edge ids re-resolved through the flatten_candidates hash bridge), on
-/// random graphs and demands. The deeper old-vs-new contract — the
+/// The interned edge ids the router reads, checked span by span against
+/// the independent resolution path_edge_ids (one Graph::edge_between per
+/// hop), on random graphs and demands; and route_fractional's solution
+/// carries exactly those candidates. The deeper old-vs-new contract — the
 /// specialized solver against a verbatim copy of the pre-change
 /// nested-vector MWU — is pinned per run by bench_m4_hot_path, which
 /// compares congestion, dual bound, edge loads and path weights and is
@@ -189,24 +230,41 @@ TEST(PathSystemFlat, FlatAndLegacyRoutingBitIdentical) {
     ASSERT_TRUE(g.is_connected());
     RandomShortestPathRouting routing(g);
     const Demand d = gen::random_permutation_demand(g.num_vertices(), rng);
-    const PathSystem bound =
+    const PathSystem ps =
         sample_path_system(routing, 4, support_pairs(d), rng);
-    ASSERT_TRUE(bound.flat_for(g));
+    ASSERT_TRUE(ps.bound_to(g));
 
-    // Clone into a graph-UNBOUND system: same candidates, gathered through
-    // the legacy hash-per-hop bridge instead of the interned spans.
-    PathSystem legacy(g.num_vertices());
-    legacy.merge(bound);
-    ASSERT_FALSE(legacy.flat_for(g));
+    // Every slab's edge ids against the hash-per-hop resolution.
+    for (const auto& [s, t] : ps.pairs()) {
+      for (PathRef ref : ps.refs(s, t)) {
+        const auto got = ps.store().edge_ids(ref);
+        EXPECT_EQ(std::vector<int>(got.begin(), got.end()),
+                  path_edge_ids(g, ps.store().to_path(ref)))
+            << "seed " << seed;
+      }
+    }
 
-    const auto fast = route_fractional(g, bound, d);
-    const auto slow = route_fractional(g, legacy, d);
-    EXPECT_EQ(fast.congestion, slow.congestion) << "seed " << seed;
-    EXPECT_EQ(fast.lower_bound, slow.lower_bound) << "seed " << seed;
-    EXPECT_EQ(fast.edge_load, slow.edge_load) << "seed " << seed;
-    EXPECT_EQ(fast.weights, slow.weights) << "seed " << seed;
-    EXPECT_EQ(fast.paths, slow.paths) << "seed " << seed;
-    EXPECT_EQ(fast.max_hops, slow.max_hops) << "seed " << seed;
+    // The solution's candidates are the system's, paths and edge ids
+    // aligned, and its loads are exactly those of its weights.
+    const auto routed = route_fractional(g, ps, d);
+    ASSERT_EQ(routed.flat.num_commodities(), routed.commodities.size());
+    for (std::size_t j = 0; j < routed.commodities.size(); ++j) {
+      const Commodity& c = routed.commodities[j];
+      EXPECT_EQ(routed.paths[j], ps.paths(c.s, c.t)) << "seed " << seed;
+      ASSERT_EQ(routed.flat.num_paths(j), routed.paths[j].size());
+      for (std::size_t i = 0; i < routed.paths[j].size(); ++i) {
+        const auto edges = routed.flat.edges(j, i);
+        EXPECT_EQ(std::vector<int>(edges.begin(), edges.end()),
+                  path_edge_ids(g, routed.paths[j][i]))
+            << "seed " << seed;
+      }
+    }
+    std::vector<double> load;
+    const double congestion = congestion_of_weights(
+        g, routed.commodities,
+        intern_candidates(g, routed.paths), routed.weights, &load);
+    EXPECT_EQ(congestion, routed.congestion) << "seed " << seed;
+    EXPECT_EQ(load, routed.edge_load) << "seed " << seed;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "candidate_lists.h"
 #include "graph/generators.h"
 #include "oblivious/shortest_path_routing.h"
 #include "oblivious/valiant.h"
@@ -15,8 +16,20 @@
 namespace sor {
 namespace {
 
+/// Edges 0-1, 0-2, 1-2, 1-3, 2-3: every path the small tests add.
+Graph diamond_with_chord() {
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 2);
+  g.add_edge(1, 3);
+  g.add_edge(2, 3);
+  return g;
+}
+
 TEST(PathSystem, AddAndQuery) {
-  PathSystem ps(4);
+  const Graph g = diamond_with_chord();
+  PathSystem ps(g);
   EXPECT_FALSE(ps.has_pair(0, 3));
   ps.add_path(0, 3, {0, 1, 3});
   ps.add_path(0, 3, {0, 2, 3});
@@ -29,10 +42,25 @@ TEST(PathSystem, AddAndQuery) {
   EXPECT_EQ(ps.num_pairs(), 2u);
 }
 
+TEST(PathSystem, PairsIterateInLexicographicOrder) {
+  const Graph g = diamond_with_chord();
+  PathSystem ps(g);
+  ps.add_path(2, 1, {2, 1});
+  ps.add_path(0, 3, {0, 2, 3});
+  ps.add_path(1, 0, {1, 0});
+  ps.add_path(0, 2, {0, 2});
+  ps.add_path(2, 1, {2, 0, 1});
+  EXPECT_EQ(ps.pairs(), (std::vector<std::pair<int, int>>{
+                            {0, 2}, {0, 3}, {1, 0}, {2, 1}}));
+  // Within a pair, insertion order.
+  EXPECT_EQ(ps.paths(2, 1), (std::vector<Path>{{2, 1}, {2, 0, 1}}));
+}
+
 TEST(PathSystem, MergeUnionsPaths) {
-  PathSystem a(3);
+  const Graph g = gen::complete(3);
+  PathSystem a(g);
   a.add_path(0, 2, {0, 1, 2});
-  PathSystem b(3);
+  PathSystem b(g);
   b.add_path(0, 2, {0, 2});
   b.add_path(1, 0, {1, 0});
   a.merge(b);
@@ -97,31 +125,32 @@ TEST(PathSystem, SupportPairsOfDemand) {
   EXPECT_EQ(pairs[1], (std::pair{4, 2}));
 }
 
-TEST(PathSystem, MissReturnsSharedImmutableEmptyList) {
-  PathSystem a(4);
-  PathSystem b(8);
+TEST(PathSystem, MissesAreEmptyAndInsertNoPair) {
+  const Graph g4 = diamond_with_chord();
+  const Graph g8 = gen::hypercube(3);
+  PathSystem a(g4);
+  const PathSystem b(g8);
   a.add_path(0, 3, {0, 1, 3});
 
-  // Misses are allocation-free: every miss, on any instance, aliases the
-  // same immutable empty list rather than per-instance (or, worse,
-  // lazily-inserted) storage.
-  const std::vector<Path>& miss_a = a.paths(1, 2);
-  const std::vector<Path>& miss_b = b.paths(5, 6);
+  // A miss is an empty list and an empty ref span, on any instance.
+  const std::vector<Path> miss_a = a.paths(1, 2);
   EXPECT_TRUE(miss_a.empty());
-  EXPECT_EQ(&miss_a, &miss_b);
-  EXPECT_EQ(&miss_a, &a.paths(3, 0));
+  EXPECT_TRUE(b.paths(5, 6).empty());
+  EXPECT_TRUE(a.paths(3, 0).empty());
+  EXPECT_TRUE(a.refs(1, 2).empty());
+  EXPECT_TRUE(b.refs(5, 6).empty());
 
   // Const lookups never materialize entries.
   EXPECT_EQ(a.num_pairs(), 1u);
   EXPECT_EQ(b.num_pairs(), 0u);
   EXPECT_FALSE(a.has_pair(1, 2));
+  EXPECT_EQ(a.pairs(), (std::vector<std::pair<int, int>>{{0, 3}}));
 
-  // The miss reference stays empty and distinct from real entries even
-  // after subsequent inserts (no rebinding of the sentinel).
+  // A later insert fills the pair without touching the earlier miss.
   a.add_path(1, 2, {1, 2});
   EXPECT_TRUE(miss_a.empty());
-  EXPECT_NE(&miss_a, &a.paths(1, 2));
   EXPECT_EQ(a.paths(1, 2).size(), 1u);
+  EXPECT_EQ(a.refs(1, 2).size(), 1u);
 }
 
 TEST(PathSystem, SpecialDemandValues) {
@@ -315,7 +344,7 @@ TEST(PathSystem, InterningFailureLeavesSystemUntouched) {
     sample_path_system_into(routing, 2, {{1, 2}, {4, 9}}, rng, nullptr, ps);
     const auto arena = ps.store().arena();
     const std::vector<int> arena_before(arena.begin(), arena.end());
-    const auto entries_before = ps.entries();
+    const auto lists_before = candidate_lists(ps);
     const std::size_t paths_before = ps.store().num_paths();
 
     std::vector<std::pair<int, int>> pairs = all_ordered_pairs(16);
@@ -327,7 +356,7 @@ TEST(PathSystem, InterningFailureLeavesSystemUntouched) {
     const auto after = ps.store().arena();
     EXPECT_EQ(std::vector<int>(after.begin(), after.end()), arena_before);
     EXPECT_EQ(ps.store().num_paths(), paths_before);
-    EXPECT_EQ(ps.entries(), entries_before);
+    EXPECT_EQ(candidate_lists(ps), lists_before);
     EXPECT_EQ(ps.total_paths(), 4u);
     EXPECT_EQ(ps.refs(1, 2).size(), 2u);
     EXPECT_TRUE(ps.refs(0, 15).empty());

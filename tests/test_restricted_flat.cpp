@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "../bench/legacy_restricted_mwu.h"
+#include "candidate_lists.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 #include "util/rng.h"
@@ -73,7 +74,8 @@ TEST_P(RestrictedFlatSweep, BitIdenticalToReferenceLoop) {
   MinCongestionOptions options;
   options.rounds = 300;
   options.min_rounds = 30;
-  const auto flat = min_congestion_over_paths(g, commodities, paths, options);
+  const auto flat = min_congestion_over_paths(
+      g, commodities, intern_candidates(g, paths), options);
   const auto ref =
       reference::min_congestion_over_paths(g, commodities, paths, options);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/generators.h"
 #include "oblivious/shortest_path_routing.h"
 
@@ -23,7 +25,7 @@ TEST(Robustness, RemoveEdgesPreservesTheRest) {
 
 TEST(Robustness, SurvivingPathsDropCrossingCandidates) {
   const Graph g = gen::grid(2, 3);  // 0 1 2 / 3 4 5
-  PathSystem ps(6);
+  PathSystem ps(g);
   ps.add_path(0, 2, {0, 1, 2});
   ps.add_path(0, 2, {0, 3, 4, 5, 2});
   const int edge01 = g.edge_between(0, 1);
@@ -121,6 +123,26 @@ TEST(Robustness, RepairRestoresCoverage) {
   for (const auto& [pair, value] : d.entries()) {
     EXPECT_FALSE(repaired.paths(pair.first, pair.second).empty());
   }
+  // The repaired system is bound to the failed graph and routes there: its
+  // edge ids index failed_graph's edges, and every surviving candidate is
+  // kept (first, in order) beside the fresh ones.
+  ASSERT_TRUE(repaired.bound_to(failed_graph));
+  for (const auto& [s, t] : repaired.pairs()) {
+    for (PathRef ref : repaired.refs(s, t)) {
+      const auto edges = repaired.store().edge_ids(ref);
+      EXPECT_EQ(std::vector<int>(edges.begin(), edges.end()),
+                path_edge_ids(failed_graph, repaired.store().to_path(ref)));
+    }
+    const auto kept = survivors.paths(s, t);
+    const auto now = repaired.paths(s, t);
+    ASSERT_GE(now.size(), kept.size());
+    EXPECT_TRUE(std::equal(kept.begin(), kept.end(), now.begin()));
+  }
+  const auto routed = route_fractional(failed_graph, repaired, d);
+  EXPECT_EQ(routed.commodities.size(), d.support_size());
+  EXPECT_GT(routed.congestion, 0.0);
+  EXPECT_EQ(routed.edge_load.size(),
+            static_cast<std::size_t>(failed_graph.num_edges()));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "candidate_lists.h"
 #include "graph/generators.h"
 #include "oblivious/shortest_path_routing.h"
 #include "oblivious/valiant.h"
@@ -109,7 +110,7 @@ TEST(Rounding, ExactBranchAndBoundOnDiamond) {
   g.add_edge(0, 2);
   g.add_edge(2, 3);
   const std::vector<Commodity> demand = {{0, 3, 2.0}};
-  const std::vector<std::vector<Path>> paths = {{{0, 1, 3}, {0, 2, 3}}};
+  const FlatCandidates paths = intern_candidates(g, {{{0, 1, 3}, {0, 2, 3}}});
   // Two units over two disjoint paths: optimum 1.
   EXPECT_DOUBLE_EQ(exact_integral_congestion(g, demand, paths), 1.0);
 }
@@ -119,7 +120,7 @@ TEST(Rounding, ExactHandlesForcedCollision) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   const std::vector<Commodity> demand = {{0, 2, 3.0}};
-  const std::vector<std::vector<Path>> paths = {{{0, 1, 2}}};
+  const FlatCandidates paths = intern_candidates(g, {{{0, 1, 2}}});
   EXPECT_DOUBLE_EQ(exact_integral_congestion(g, demand, paths), 3.0);
   EXPECT_DOUBLE_EQ(exact_integral_congestion(g, {}, {}), 0.0);
 }
@@ -141,9 +142,8 @@ TEST_P(ExactVsHeuristicSweep, LocalSearchNearExactOptimum) {
   local_search_improve(g, integral);
 
   const auto commodities = d.commodities();
-  std::vector<std::vector<Path>> paths;
-  for (const Commodity& c : commodities) paths.push_back(ps.paths(c.s, c.t));
-  const double exact = exact_integral_congestion(g, commodities, paths);
+  const double exact = exact_integral_congestion(
+      g, commodities, flat_candidates(ps, commodities));
   EXPECT_GE(integral.congestion, exact - 1e-9);
   EXPECT_LE(integral.congestion, exact * 2.0 + 1e-9);
   // The fractional relaxation lower-bounds the integral optimum.
@@ -162,6 +162,7 @@ TEST(Rounding, LocalSearchFindsObviousImprovement) {
   IntegralSolution solution;
   solution.commodities = {{0, 3, 2.0}};
   solution.paths = {{{0, 1, 3}, {0, 2, 3}}};
+  solution.flat = intern_candidates(g, solution.paths);
   solution.choices = {{0, 0}};
   integral_congestion(g, solution);
   EXPECT_DOUBLE_EQ(solution.congestion, 2.0);

@@ -16,7 +16,7 @@ TEST(SemiOblivious, SinglePairSinglePath) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  PathSystem ps(3);
+  PathSystem ps(g);
   ps.add_path(0, 2, {0, 1, 2});
   Demand d;
   d.set(0, 2, 3.0);
@@ -46,9 +46,9 @@ TEST(SemiOblivious, UncoveredDemandPairIsATypedError) {
     EXPECT_NE(std::string(e.what()).find("(2, 0)"), std::string::npos);
   }
   EXPECT_THROW(route_fractional_exact(g, ps, d), SorError);
-  PathSystem unbound(3);
-  unbound.add_path(0, 2, {0, 1, 2});
-  EXPECT_THROW(route_fractional(g, unbound, d), SorError);
+  RouteScratch scratch;
+  SemiObliviousSolution out;
+  EXPECT_THROW(route_fractional_into(g, ps, d, {}, scratch, out), SorError);
   // The covered part alone routes.
   Demand covered;
   covered.set(0, 2, 1.0);
@@ -82,7 +82,7 @@ TEST(SemiOblivious, ExactMatchesMwuOnDiamond) {
   g.add_edge(1, 3);
   g.add_edge(0, 2);
   g.add_edge(2, 3);
-  PathSystem ps(4);
+  PathSystem ps(g);
   ps.add_path(0, 3, {0, 1, 3});
   ps.add_path(0, 3, {0, 2, 3});
   Demand d;
@@ -129,7 +129,7 @@ TEST(SemiOblivious, EmptyDemand) {
   const Graph g = gen::complete(3);
   const OptimalCongestion opt = optimal_congestion(g, Demand{});
   EXPECT_DOUBLE_EQ(opt.upper, 0.0);
-  const auto solution = route_fractional(g, PathSystem(3), Demand{});
+  const auto solution = route_fractional(g, PathSystem(g), Demand{});
   EXPECT_DOUBLE_EQ(solution.congestion, 0.0);
 }
 
@@ -143,7 +143,7 @@ TEST(SemiOblivious, MaxHopsTracksUsedPathsOnly) {
   g.add_edge(1, 2);
   g.add_edge(2, 3);
   g.add_edge(0, 3);  // direct edge
-  PathSystem ps(4);
+  PathSystem ps(g);
   ps.add_path(0, 3, {0, 3});
   ps.add_path(0, 3, {0, 1, 2, 3});
   ps.add_path(1, 2, {1, 2});

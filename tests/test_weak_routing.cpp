@@ -47,7 +47,7 @@ TEST(DeletionProcess, TinyThresholdDeletesPaths) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  PathSystem ps(3);
+  PathSystem ps(g);
   ps.add_path(0, 2, {0, 1, 2});
   Demand d;
   d.set(0, 2, 4.0);
@@ -103,7 +103,7 @@ TEST(IterativeHalving, ImpossibleGammaFlushes) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  PathSystem ps(3);
+  PathSystem ps(g);
   ps.add_path(0, 2, {0, 1, 2});
   Demand d;
   d.set(0, 2, 10.0);
@@ -114,38 +114,62 @@ TEST(IterativeHalving, ImpossibleGammaFlushes) {
 }
 
 TEST(DeletionProcess, InternedSpansMatchUnboundSystem) {
-  // The graph-bound fast path (interned PathStore edge-id spans) and the
-  // unbound fallback (edge_between per hop) must produce identical
-  // results: same edge ids, same deletion sweep, same survivors.
+  // The deletion process reads edge ids gathered from the interned arena.
+  // Every span must equal the independent hash-per-hop resolution
+  // path_edge_ids (Graph::edge_between), and the surviving weights over
+  // those edges must account for the reported loads.
   const int dim = 4;
   const Graph g = gen::hypercube(dim);
   ValiantRouting routing(g, dim);
   Rng rng(17);
   const Demand d = gen::random_permutation_demand(g.num_vertices(), rng);
-  const PathSystem bound =
-      sample_path_system(routing, 4, support_pairs(d), rng);
-  ASSERT_TRUE(bound.flat_for(g));
-  PathSystem unbound(g.num_vertices());
-  for (const auto& [pair, paths] : bound.entries()) {
-    for (const Path& p : paths) unbound.add_path(pair.first, pair.second, p);
+  const PathSystem ps = sample_path_system(routing, 4, support_pairs(d), rng);
+  ASSERT_TRUE(ps.bound_to(g));
+  for (const auto& [s, t] : ps.pairs()) {
+    for (PathRef ref : ps.refs(s, t)) {
+      const auto got = ps.store().edge_ids(ref);
+      EXPECT_EQ(std::vector<int>(got.begin(), got.end()),
+                path_edge_ids(g, ps.store().to_path(ref)));
+    }
   }
-  ASSERT_FALSE(unbound.flat_for(g));
 
   for (double gamma : {0.5, 2.0, 8.0}) {
-    const auto fast = run_deletion_process(g, bound, d, gamma);
-    const auto slow = run_deletion_process(g, unbound, d, gamma);
-    EXPECT_EQ(fast.congestion, slow.congestion) << "gamma " << gamma;
-    EXPECT_EQ(fast.routed_fraction, slow.routed_fraction);
-    EXPECT_EQ(fast.edges_overloaded, slow.edges_overloaded);
-    EXPECT_EQ(fast.edge_load, slow.edge_load);
-    EXPECT_EQ(fast.weights, slow.weights);
+    const auto pass = run_deletion_process(g, ps, d, gamma);
+    ASSERT_EQ(pass.flat.num_commodities(), pass.paths.size());
+    std::vector<double> load(static_cast<std::size_t>(g.num_edges()), 0.0);
+    for (std::size_t j = 0; j < pass.paths.size(); ++j) {
+      const Commodity& c = pass.commodities[j];
+      EXPECT_EQ(pass.paths[j], ps.paths(c.s, c.t));
+      ASSERT_EQ(pass.flat.num_paths(j), pass.paths[j].size());
+      for (std::size_t i = 0; i < pass.paths[j].size(); ++i) {
+        const auto edges = pass.flat.edges(j, i);
+        const std::vector<int> want = path_edge_ids(g, pass.paths[j][i]);
+        EXPECT_EQ(std::vector<int>(edges.begin(), edges.end()), want)
+            << "gamma " << gamma;
+        for (int e : want) {
+          load[static_cast<std::size_t>(e)] += pass.weights[j][i];
+        }
+      }
+    }
+    ASSERT_EQ(pass.edge_load.size(), load.size());
+    for (std::size_t e = 0; e < load.size(); ++e) {
+      EXPECT_NEAR(pass.edge_load[e], load[e], 1e-9) << "gamma " << gamma;
+    }
+    EXPECT_LE(pass.congestion, gamma + 1e-9);
+    // Deterministic: a second pass reads the same spans to the same bits.
+    const auto again = run_deletion_process(g, ps, d, gamma);
+    EXPECT_EQ(again.congestion, pass.congestion) << "gamma " << gamma;
+    EXPECT_EQ(again.routed_fraction, pass.routed_fraction);
+    EXPECT_EQ(again.edges_overloaded, pass.edges_overloaded);
+    EXPECT_EQ(again.edge_load, pass.edge_load);
+    EXPECT_EQ(again.weights, pass.weights);
   }
-  const auto fast = iterative_halving_route(g, bound, d, /*gamma=*/3.0);
-  const auto slow = iterative_halving_route(g, unbound, d, /*gamma=*/3.0);
-  EXPECT_EQ(fast.congestion, slow.congestion);
-  EXPECT_EQ(fast.rounds, slow.rounds);
-  EXPECT_EQ(fast.flushed_size, slow.flushed_size);
-  EXPECT_EQ(fast.edge_load, slow.edge_load);
+  const auto first = iterative_halving_route(g, ps, d, /*gamma=*/3.0);
+  const auto second = iterative_halving_route(g, ps, d, /*gamma=*/3.0);
+  EXPECT_EQ(first.congestion, second.congestion);
+  EXPECT_EQ(first.rounds, second.rounds);
+  EXPECT_EQ(first.flushed_size, second.flushed_size);
+  EXPECT_EQ(first.edge_load, second.edge_load);
 }
 
 TEST(IterativeHalving, RoundsShrinkGeometrically) {

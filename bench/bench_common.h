@@ -98,8 +98,7 @@ class JsonSink {
 //                sweep point) — machine-independent, this is what the gate
 //                bounds; "-" when the row has no control
 //   identical    "yes"/"no" output-equality vs the control ("-" when not
-//                applicable; for fast-math rows: within the documented
-//                epsilon contract). The gate fails on any "no".
+//                applicable). The gate fails on any "no".
 
 inline Table stage_table() {
   return Table({"phase", "instance", "threads", "ms_per_op", "ops_per_sec",

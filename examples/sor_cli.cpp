@@ -58,11 +58,9 @@ struct Options {
   bool seed_set = false;  // --seed given: overrides a scenario file's seed
   int threads = 1;
   int batch = 1;
-  int shards = 1;           // engine replicas for scale-out batch routing
   bool aggregate = false;   // coalesce duplicate demands pre-solve
   std::string demands_file; // stream the batch from a demand-stream file
   bool integral = false;
-  bool fast_math = false;
   bool warm_start = false;  // carry MWU state across serial routes/epochs
   bool mem_stats = false;  // print the service-memory gauges after the run
   std::string dot_path;
@@ -91,8 +89,8 @@ void usage() {
       "               [--size N] [--alpha A] "
       "[--demand permutation|bitreversal|gravity|pairs]\n"
       "               [--backend SPEC] [--seed S] [--threads N] [--batch B]\n"
-      "               [--demands-file FILE] [--shards K] [--aggregate]\n"
-      "               [--integral] [--fast-math] [--warm-start] [--mem-stats] "
+      "               [--demands-file FILE] [--aggregate]\n"
+      "               [--integral] [--warm-start] [--mem-stats] "
       "[--dot FILE] [--list-backends]\n"
       "               [--fault-plan SPEC] [--solve-budget SPEC] "
       "[--on-error fail|skip]\n"
@@ -115,20 +113,16 @@ void usage() {
       "--demands-file FILE streams a demand batch from a text file (one\n"
       "demand per line as \"s t value\" triples, '#' comments) through the\n"
       "scale-out route_batch pipeline without materializing it; the file's\n"
-      "support is collected in a first pass to install paths. --shards K\n"
-      "partitions the batch across K engine replicas sharing the frozen\n"
-      "PathSystem; --aggregate coalesces content-identical demands into\n"
-      "weighted groups and keeps only aggregate results (memory stays flat\n"
-      "in the stream length). Both are bit-identical to the plain batch\n"
-      "for every K and thread count (see api/sor_engine.h).\n"
-      "--fast-math opts the MWU solvers into the relaxed-bit-identity\n"
-      "accumulator-sum mode (outputs within 5%% of exact, certificates\n"
-      "stay valid; see MinCongestionOptions::fast_math). Off by default.\n"
+      "support is collected in a first pass to install paths.\n"
+      "--aggregate coalesces content-identical demands into weighted\n"
+      "groups and keeps only aggregate results (memory stays flat in the\n"
+      "stream length), bit-identical to the plain batch for every thread\n"
+      "count (see api/sor_engine.h).\n"
       "--warm-start carries MWU solver state across serial routes (and\n"
       "across scenario epochs): later solves resume from the previous\n"
       "epoch's adversary weights and typically early-exit in fewer rounds\n"
-      "(see docs/warm-start.md). Serial only — incompatible with --batch,\n"
-      "--demands-file, and --shards. Off by default (cold per-route solves,\n"
+      "(see docs/warm-start.md). Serial only — incompatible with --batch\n"
+      "and --demands-file. Off by default (cold per-route solves,\n"
       "bit-identical to builds without the warm subsystem).\n"
       "--mem-stats prints the service-memory gauges after the run: the\n"
       "PathStore arena, live paths, process RSS, and the route call's heap\n"
@@ -263,10 +257,6 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
       const char* v = next("--batch");
       if (!v) return false;
       opt.batch = std::atoi(v);
-    } else if (!std::strcmp(argv[i], "--shards")) {
-      const char* v = next("--shards");
-      if (!v) return false;
-      opt.shards = std::atoi(v);
     } else if (!std::strcmp(argv[i], "--aggregate")) {
       opt.aggregate = true;
     } else if (!std::strcmp(argv[i], "--demands-file")) {
@@ -275,8 +265,6 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
       opt.demands_file = v;
     } else if (!std::strcmp(argv[i], "--integral")) {
       opt.integral = true;
-    } else if (!std::strcmp(argv[i], "--fast-math")) {
-      opt.fast_math = true;
     } else if (!std::strcmp(argv[i], "--warm-start")) {
       opt.warm_start = true;
     } else if (!std::strcmp(argv[i], "--mem-stats")) {
@@ -327,10 +315,6 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
     std::fprintf(stderr, "--threads must be >= 0 and --batch >= 1\n");
     return false;
   }
-  if (opt.shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return false;
-  }
   if (!opt.demands_file.empty() && (opt.demand_set || opt.batch > 1)) {
     std::fprintf(stderr,
                  "--demands-file streams the whole batch from the file; "
@@ -344,10 +328,9 @@ bool parse(int argc, char** argv, Options& opt, bool& exit_ok) {
                  "raw batch instead)\n");
     return false;
   }
-  if ((opt.shards > 1 || opt.aggregate) && opt.batch <= 1 &&
-      opt.demands_file.empty()) {
+  if (opt.aggregate && opt.batch <= 1 && opt.demands_file.empty()) {
     std::fprintf(stderr,
-                 "--shards/--aggregate need a batch: --batch B > 1 or "
+                 "--aggregate needs a batch: --batch B > 1 or "
                  "--demands-file FILE\n");
     return false;
   }
@@ -438,13 +421,13 @@ int run_scenario_mode(const Options& opt) {
   // One-shot-only flags must not be silently dropped in scenario mode:
   // the spec (or its explicit overrides below) owns those choices.
   if (opt.topology_set || opt.size_set || opt.demand_set || opt.batch > 1 ||
-      opt.shards > 1 || opt.aggregate || !opt.demands_file.empty() ||
-      opt.integral || opt.fast_math || !opt.dot_path.empty() ||
-      !opt.on_error.empty() || !opt.convergence_out.empty()) {
+      opt.aggregate || !opt.demands_file.empty() || opt.integral ||
+      !opt.dot_path.empty() || !opt.on_error.empty() ||
+      !opt.convergence_out.empty()) {
     std::fprintf(stderr,
-                 "error: --topology/--size/--demand/--batch/--shards/"
+                 "error: --topology/--size/--demand/--batch/"
                  "--aggregate/--demands-file/--integral/"
-                 "--fast-math/--dot/--on-error/--convergence-out do not "
+                 "--dot/--on-error/--convergence-out do not "
                  "apply to scenario mode "
                  "(set them in the spec; --backend/--alpha/--seed/--epochs/"
                  "--reinstall/--degrade/--solve-budget/--threads override "
@@ -654,12 +637,11 @@ int main(int argc, char** argv) {
                  "--demands-file\n");
     return 1;
   }
-  if (opt.warm_start &&
-      (opt.batch > 1 || opt.shards > 1 || !opt.demands_file.empty())) {
+  if (opt.warm_start && (opt.batch > 1 || !opt.demands_file.empty())) {
     std::fprintf(stderr,
                  "error: --warm-start is serial-only; it does not combine "
-                 "with --batch/--shards/--demands-file (batch demands have "
-                 "no epoch order)\n");
+                 "with --batch/--demands-file (batch demands have no epoch "
+                 "order)\n");
     return 1;
   }
   sor::Rng rng(opt.seed);
@@ -720,12 +702,10 @@ int main(int argc, char** argv) {
 
     sor::RouteSpec route_spec;
     route_spec.round_integral = opt.integral;
-    route_spec.fast_math = opt.fast_math;
-    route_spec.budget = budget;
+    route_spec.mwu.budget = budget;
     sor::BatchSpec batch_spec;
     batch_spec.keep_reports = !opt.aggregate;
     batch_spec.aggregate_duplicates = opt.aggregate;
-    batch_spec.shards = opt.shards;
     if (opt.on_error == "skip") {
       batch_spec.on_error = sor::OnError::kSkipAndReport;
     }
@@ -734,10 +714,10 @@ int main(int argc, char** argv) {
     const sor::BatchReport batch =
         engine.route_batch(pass2, route_spec, batch_spec);
     std::printf(
-        "routed %zu demands (%zu distinct) across %d shard(s) on %d "
-        "thread(s):\n  global congestion %.4f, max per-demand congestion "
-        "%.4f\n  wall %.0f ms -> %.0f demands/sec\n",
-        batch.num_demands, batch.num_groups, batch.spec.shards, batch.threads,
+        "routed %zu demands (%zu distinct) on %d thread(s):\n  global "
+        "congestion %.4f, max per-demand congestion %.4f\n  wall %.0f ms "
+        "-> %.0f demands/sec\n",
+        batch.num_demands, batch.num_groups, batch.threads,
         batch.global_congestion, batch.max_congestion, batch.wall_ms,
         batch.demands_per_sec());
     if (batch.num_failed > 0) {
@@ -784,8 +764,7 @@ int main(int argc, char** argv) {
 
   sor::RouteSpec route_spec;
   route_spec.round_integral = opt.integral;
-  route_spec.fast_math = opt.fast_math;
-  route_spec.budget = budget;
+  route_spec.mwu.budget = budget;
   route_spec.warm_start = opt.warm_start;
   route_spec.record_convergence = !opt.convergence_out.empty();
 
@@ -793,7 +772,6 @@ int main(int argc, char** argv) {
     sor::BatchSpec batch_spec;
     batch_spec.keep_reports = !opt.aggregate;
     batch_spec.aggregate_duplicates = opt.aggregate;
-    batch_spec.shards = opt.shards;
     if (opt.on_error == "skip") {
       batch_spec.on_error = sor::OnError::kSkipAndReport;
     }
@@ -805,11 +783,10 @@ int main(int argc, char** argv) {
         "max ratio <= %.2f\n",
         opt.batch, batch.threads, batch.max_congestion,
         batch.max_competitive_ratio);
-    if (opt.aggregate || opt.shards > 1) {
+    if (opt.aggregate) {
       std::printf(
-          "scale-out: %zu distinct demand(s) across %d shard(s), global "
-          "congestion %.4f\n",
-          batch.num_groups, batch.spec.shards, batch.global_congestion);
+          "scale-out: %zu distinct demand(s), global congestion %.4f\n",
+          batch.num_groups, batch.global_congestion);
     }
     std::printf(
         "batch wall %.0f ms vs %.0f ms serial-equivalent -> speedup %.2fx\n",
@@ -858,7 +835,7 @@ int main(int argc, char** argv) {
                 report.convergence.size(), opt.convergence_out.c_str());
   }
   std::printf("fractional congestion: %.4f\n", report.congestion);
-  if (route_spec.budget.enabled()) {
+  if (route_spec.mwu.budget.enabled()) {
     std::printf("solve status: %s, certified optimality gap <= %.4f\n",
                 sor::to_string(report.solve_status), report.optimality_gap);
   }

@@ -46,14 +46,12 @@ bool warm_spec_matches(const RouteSpec& a, const RouteSpec& b) {
   return a.mwu.rounds == b.mwu.rounds &&
          a.mwu.target_gap == b.mwu.target_gap &&
          a.mwu.min_rounds == b.mwu.min_rounds &&
-         a.mwu.budget == b.mwu.budget &&
-         a.mwu.fast_math == b.mwu.fast_math && a.fast_math == b.fast_math &&
-         a.exact == b.exact && a.compute_optimum == b.compute_optimum &&
+         a.mwu.budget == b.mwu.budget && a.exact == b.exact &&
+         a.compute_optimum == b.compute_optimum &&
          a.compute_lower_bound == b.compute_lower_bound &&
          a.round_integral == b.round_integral &&
          a.rounding_trials == b.rounding_trials &&
          a.simulate_packets == b.simulate_packets && a.policy == b.policy &&
-         a.budget == b.budget &&
          a.record_convergence == b.record_convergence;
 }
 
@@ -373,7 +371,7 @@ obs::MetricsRegistry SorEngine::metrics() const {
               c.fault_fires.load(memory_order_relaxed),
               "injected faults triggered (all sites)");
   reg.histogram("sor_route_ms", c.route_ms,
-                "wall milliseconds per route_one call");
+                "wall milliseconds per route_one_into call");
 
   // Engine memory gauges. "Absent, never 0" discipline for anything this
   // build/platform cannot measure: a reader must not mistake "no data"
@@ -413,6 +411,17 @@ const PathSystem& SorEngine::paths() const {
   return *installed_;
 }
 
+void SorEngine::require_rounding_trials(const RouteSpec& spec,
+                                        const char* caller) {
+  if ((spec.round_integral || spec.simulate_packets) &&
+      spec.rounding_trials < 1) {
+    throw std::invalid_argument(
+        std::string(caller) + ": rounding_trials must be >= 1 when "
+        "round_integral or simulate_packets is set (got " +
+        std::to_string(spec.rounding_trials) + ")");
+  }
+}
+
 void SorEngine::require_installed_pairs(const Demand& demand) const {
   const PathSystem& ps = paths();  // throws before install_paths()
   for (const auto& [pair, value] : demand.entries()) {
@@ -427,25 +436,25 @@ void SorEngine::require_installed_pairs(const Demand& demand) const {
 }
 
 RouteReport SorEngine::route(const Demand& demand, const RouteSpec& spec) {
-  if (spec.warm_start) {
-    RouteReport out;
-    route_warm_into(demand, spec, out);
-    return out;
-  }
-  require_installed_pairs(demand);
-  return route_one(demand, spec, rng_);
+  RouteReport out;
+  route_into(demand, spec, out);
+  return out;
 }
 
 RouteReport& SorEngine::route_into(const Demand& demand, const RouteSpec& spec,
                                    RouteReport& out) {
-  if (spec.warm_start) return route_warm_into(demand, spec, out);
   require_installed_pairs(demand);
+  require_rounding_trials(spec, "route");
+  // The one scratch_alloc checkpoint of a serial route, visited before the
+  // warm/cold dispatch so warm mode never changes which injection sites a
+  // route passes.
   if (fault::FaultPlan* plan = active_fault_plan();
       plan && plan->fire_next(fault::Site::kScratchAlloc)) {
     throw SorError(ErrorCode::kScratchAlloc, "scratch_pool",
                    "route: injected scratch-arena allocation failure "
                    "(fault-plan site scratch_alloc)");
   }
+  if (spec.warm_start) return route_warm_into(demand, spec, out);
   auto scratch = scratch_pool_.acquire();
   route_one_into(demand, spec, rng_, *scratch, out);
   return out;
@@ -454,15 +463,6 @@ RouteReport& SorEngine::route_into(const Demand& demand, const RouteSpec& spec,
 RouteReport& SorEngine::route_warm_into(const Demand& demand,
                                         const RouteSpec& spec,
                                         RouteReport& out) {
-  require_installed_pairs(demand);
-  // Same fault site as the cold path, in the same position: warm mode must
-  // not change which injection checkpoints a route visits.
-  if (fault::FaultPlan* plan = active_fault_plan();
-      plan && plan->fire_next(fault::Site::kScratchAlloc)) {
-    throw SorError(ErrorCode::kScratchAlloc, "scratch_pool",
-                   "route: injected scratch-arena allocation failure "
-                   "(fault-plan site scratch_alloc)");
-  }
   if (!warm_state_) warm_state_ = std::make_unique<warm::WarmStartState>();
   warm::WarmStartState& st = *warm_state_;
   const auto m = static_cast<std::size_t>(graph_->num_edges());
@@ -589,21 +589,7 @@ RouteReport& SorEngine::route_warm_into(const Demand& demand,
 }
 
 // route_batch lives in sor_engine_batch.cpp — the scale-out streaming /
-// aggregation / sharding pipeline is a subsystem of its own.
-
-RouteReport SorEngine::route_one(const Demand& demand, const RouteSpec& spec,
-                                 Rng& rng) const {
-  RouteReport report;
-  if (fault::FaultPlan* plan = active_fault_plan();
-      plan && plan->fire_next(fault::Site::kScratchAlloc)) {
-    throw SorError(ErrorCode::kScratchAlloc, "scratch_pool",
-                   "route: injected scratch-arena allocation failure "
-                   "(fault-plan site scratch_alloc)");
-  }
-  auto scratch = scratch_pool_.acquire();
-  route_one_into(demand, spec, rng, *scratch, report);
-  return report;
-}
+// aggregation pipeline is a subsystem of its own.
 
 void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
                                Rng& rng, runtime::EngineScratch& scratch,
@@ -630,18 +616,10 @@ void SorEngine::route_one_into(const Demand& demand, const RouteSpec& spec,
   out.simulation.reset();
   out.warm = WarmInfo{};  // route_warm_into overwrites after this returns
 
-  // RouteSpec::fast_math is a convenience alias for mwu.fast_math; either
-  // spelling opts the whole route (restricted solve + optimum oracle) in.
-  MinCongestionOptions mwu = spec.mwu;
-  mwu.fast_math = mwu.fast_math || spec.fast_math;
-  // RouteSpec::budget is the convenience alias for mwu.budget (same idiom
-  // as fast_math): an enabled spec budget governs the restricted solve and
-  // the optimum oracle below.
-  if (spec.budget.enabled()) mwu.budget = spec.budget;
   // Warm hooks split the one option set: each solver gets its own seed and
-  // capture target. Null hooks leave both copies equal to `mwu`.
-  MinCongestionOptions restricted_opts = mwu;
-  MinCongestionOptions optimum_opts = mwu;
+  // capture target. Null hooks leave both copies equal to spec.mwu.
+  MinCongestionOptions restricted_opts = spec.mwu;
+  MinCongestionOptions optimum_opts = spec.mwu;
   if (hooks != nullptr) {
     restricted_opts.warm = hooks->restricted;
     restricted_opts.capture_log_x = hooks->capture_restricted;

@@ -40,7 +40,7 @@
 //     one child stream per pulled demand, in pull order, regardless of
 //     BatchSpec — so any two sources producing the same demand sequence
 //     yield identical reports AND leave the engine stream in the same
-//     state, whether the batch was spans, files, aggregated, or sharded.
+//     state, whether the batch was spans, files, or aggregated.
 //   * Aggregation (BatchSpec::aggregate_duplicates) groups demands by
 //     exact entry content and solves each group once; de-aggregated
 //     per-demand reports are bit-identical to the raw run because the
@@ -48,10 +48,9 @@
 //     rejected in aggregated mode for exactly this reason).
 //   * Global loads are ONE canonical serial fold — multiplicity times the
 //     representative's load, in first-seen group order — identical by
-//     construction across aggregation modes, thread counts, and shard
-//     counts (shards only partition solves across scratch contexts; they
-//     never touch seeds or fold order). tests/test_scaleout.cpp pins all
-//     three equivalences; bench_m8_scaleout gates them at 1M entries.
+//     construction across aggregation modes and thread counts.
+//     tests/test_scaleout.cpp pins both equivalences; bench_m8_scaleout
+//     gates them at 1M entries.
 #pragma once
 
 #include <cstdint>
@@ -117,16 +116,13 @@ struct SamplingSpec {
 
 /// Stage 3..5 knobs for one revealed demand.
 struct RouteSpec {
+  /// MWU options of the restricted solve AND the offline-optimum oracle.
+  /// mwu.budget is the anytime-solve budget (exposed as `sor_cli
+  /// --solve-budget`): on budget exhaustion both solvers return the best
+  /// iterate seen so far with a SolveStatus and a certified optimality gap;
+  /// with the budget disabled (default) routing is bit-identical to a build
+  /// without it.
   MinCongestionOptions mwu;
-  /// Opt-in fast-math MWU (default OFF): forwarded into the restricted
-  /// solve AND the offline-optimum oracle as mwu.fast_math. Relaxes the
-  /// solvers' bit-identity guarantee to the epsilon contract documented on
-  /// MinCongestionOptions::fast_math — outputs within
-  /// 0.05 * max(1, exact) of the exact-mode run, with both runs still
-  /// exact certificates of the same LP — in exchange for a restricted-MWU
-  /// round cost proportional to the demand footprint instead of the graph
-  /// size. Exposed as `sor_cli --fast-math`.
-  bool fast_math = false;
   /// Exact LP instead of the MWU engine (tiny instances only).
   bool exact = false;
   /// Solve the offline optimum opt_{G}(d) for the competitive ratio.
@@ -138,29 +134,26 @@ struct RouteSpec {
   /// Lemma 6.3 randomized rounding to one path per unit (requires a
   /// near-integral demand; skipped otherwise).
   bool round_integral = false;
+  /// Independent rounding draws (the best is kept); must be >= 1 whenever
+  /// round_integral or simulate_packets is set, else route() throws
+  /// std::invalid_argument before any solve.
   int rounding_trials = 8;
   /// Store-and-forward simulation of the integral routing (implies
   /// round_integral).
   bool simulate_packets = false;
   SchedulePolicy policy = SchedulePolicy::kRandomPriority;
-  /// Anytime-solve budget, forwarded into the restricted solve AND the
-  /// offline-optimum oracle (when enabled it overrides mwu.budget). On
-  /// budget exhaustion the solvers return the best iterate seen so far
-  /// with a SolveStatus and a certified optimality gap; with the budget
-  /// disabled (default) routing is bit-identical to a build without it.
-  /// Exposed as `sor_cli --solve-budget`.
-  SolveBudget budget;
   /// Opt-in cross-epoch warm starts (default OFF; docs/warm-start.md is the
   /// contract). When on, the engine captures each route's MWU endpoint
   /// (adversary log-weights, column pool, integral choices) and seeds the
   /// NEXT route from it: a bit-identical instance replays the stored
   /// report outright; a nearby instance resumes both MWU solvers from the
   /// damped prior iterate and seeds rounding from the prior integral
-  /// solution. Certificates stay cross-valid exactly as under fast_math —
-  /// warm starts only move the starting iterate, never the certificate
-  /// discipline. With warm_start off, routing is bit-identical to a build
-  /// without this field (RouteReport.warm is the only delta, and it is
-  /// all-zero). Serial route()/route_into() only; route_batch rejects it.
+  /// solution. Warm and cold certificates of the same instance stay
+  /// cross-valid — warm starts only move the starting iterate, never the
+  /// certificate discipline. With warm_start off, routing is bit-identical
+  /// to a build without this field (RouteReport.warm is the only delta,
+  /// and it is all-zero). Serial route()/route_into() only; route_batch
+  /// rejects it.
   /// Exposed as `sor_cli --warm-start`.
   bool warm_start = false;
   /// Opt-in per-round convergence telemetry (default OFF; see
@@ -258,7 +251,7 @@ enum class OnError {
   kFailFast = 0,
   /// Record a per-demand DemandError and keep going. Failed/poisoned units
   /// fold ZERO load into the canonical serial fold, so the surviving
-  /// units' loads are bit-identical across thread and shard counts — and
+  /// units' loads are bit-identical across thread counts — and
   /// bit-identical to a batch that never contained the poisoned demands.
   kSkipAndReport = 1,
 };
@@ -290,11 +283,6 @@ struct BatchSpec {
   /// scale/aggregate.h). Rejects round_integral/simulate_packets — their
   /// per-demand Rng streams would lose the input-order mapping.
   bool aggregate_duplicates = false;
-  /// Engine replicas sharing the one frozen PathSystem: solve units are
-  /// partitioned contiguously across `shards` scratch contexts and routed
-  /// concurrently. Purely a resource-scoping knob — results are
-  /// bit-identical for every shard count (and every thread count).
-  int shards = 1;
   /// Failure policy (graceful degradation): see OnError.
   OnError on_error = OnError::kFailFast;
 
@@ -372,12 +360,15 @@ class SorEngine {
   /// Stage 3..5 for one revealed demand, over the frozen PathSystem.
   /// Throws std::logic_error if install_paths() has not run, and
   /// std::invalid_argument if the demand has a support pair with no
-  /// installed candidate paths.
+  /// installed candidate paths or the spec asks for rounding with
+  /// rounding_trials < 1.
   RouteReport route(const Demand& demand, const RouteSpec& spec = {});
 
   /// Buffer-reusing form of route(): refills `out`'s nested buffers in
   /// place (capacities retained) with exactly what route() would return —
-  /// route() is a thin wrapper over this. Together with the engine's
+  /// route() is a thin wrapper over this, and this is the one entry point
+  /// that checks the installed pairs and visits the scratch_alloc fault
+  /// site before dispatching to the warm or cold pipeline. Together with the engine's
   /// internal scratch pool this makes a steady-state serving loop
   /// allocation-free after warm-up; `out.mem` reports the measured
   /// allocation delta of each call. Returns `out`.
@@ -388,15 +379,15 @@ class SorEngine {
   /// the PRIMARY batch entry point. Pulls every demand from `source`
   /// (validating the whole stream before routing anything), optionally
   /// aggregates duplicates, and fans the solve units out across the
-  /// engine's pool and `batch.shards` scratch contexts. Demand i draws
-  /// from its own Rng stream seed-split from the engine stream in pull
-  /// order, so the reports are bit-identical for every thread count AND
-  /// every shard count; with rounding and simulation off (their defaults)
+  /// engine's pool. Demand i draws from its own Rng stream seed-split from
+  /// the engine stream in pull order, so the reports are bit-identical for
+  /// every thread count; with rounding and simulation off (their defaults)
   /// they also equal a serial route() loop. See the header block for the
   /// full streaming stability contract. Throws std::invalid_argument on
-  /// malformed entries, uninstalled pairs, or an inconsistent BatchSpec
-  /// (shards < 1; keep_reports=false without aggregate_duplicates;
-  /// aggregation combined with rounding/simulation).
+  /// malformed entries, uninstalled pairs, rounding_trials < 1 with
+  /// rounding/simulation on, or an inconsistent BatchSpec (keep_reports=
+  /// false without aggregate_duplicates; aggregation combined with
+  /// rounding/simulation).
   BatchReport route_batch(scale::DemandSource& source,
                           const RouteSpec& spec = {},
                           const BatchSpec& batch = {});
@@ -494,25 +485,27 @@ class SorEngine {
  private:
   SorEngine() = default;
 
-  /// The frozen-path stages for one demand; `rng` is the stream rounding
-  /// and simulation draw from (the engine stream for route(), a seed-split
-  /// stream for route_batch()).
-  RouteReport route_one(const Demand& demand, const RouteSpec& spec,
-                        Rng& rng) const;
-  /// The real stage-3..5 implementation: all working state in `scratch`,
-  /// the report refilled in place. route_one/route/route_into wrap this.
+  /// The stage-3..5 implementation: all working state in `scratch`, the
+  /// report refilled in place. `rng` is the stream rounding and simulation
+  /// draw from (the engine stream for route_into(), a seed-split stream
+  /// for route_batch()).
   /// `hooks` (warm starts only; see warm/warm_state.h) carries the MWU
   /// seeds/captures and the rounding seed — null on every cold route, and
   /// a null-hook call is bit-identical to a build without the parameter.
   void route_one_into(const Demand& demand, const RouteSpec& spec, Rng& rng,
                       runtime::EngineScratch& scratch, RouteReport& out,
                       const warm::RouteWarmHooks* hooks = nullptr) const;
-  /// The warm-start orchestration route_into() dispatches to when
-  /// RouteSpec::warm_start is set: replay / seed decision, the seeded
-  /// route_one_into call, and the post-route capture.
+  /// The warm-start orchestration route_into() dispatches to (after its
+  /// pair check and fault site) when RouteSpec::warm_start is set: replay
+  /// / seed decision, the seeded route_one_into call, and the post-route
+  /// capture.
   RouteReport& route_warm_into(const Demand& demand, const RouteSpec& spec,
                                RouteReport& out);
   void require_installed_pairs(const Demand& demand) const;
+  /// Rejects rounding_trials < 1 when the spec asks for rounding or
+  /// simulation (std::invalid_argument naming `caller`), before any solve.
+  static void require_rounding_trials(const RouteSpec& spec,
+                                      const char* caller);
   /// The pool sized to threads_, created on first parallel use (nullptr
   /// while threads_ == 1).
   util::ThreadPool* pool();
@@ -531,24 +524,22 @@ class SorEngine {
   Rng rng_{1};
   int threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;
-  /// Leased per route_one call (one per concurrently-active call; see
+  /// Leased per route_one_into call, by route_into() and by every
+  /// route_batch() worker (one scratch per concurrently-active call; see
   /// runtime::ScratchPool). mutable: scratch contents never influence
   /// results, so lending one out is logically const.
   mutable runtime::ScratchPool scratch_pool_;
   // ---- route_batch workspace (capacity-retaining across batches) -------
   // The scale-out pipeline's reusable state: the aggregation index, the
   // per-demand Rng streams (only filled when rounding/simulation need
-  // them), a fixed chunk of solve slots recycled across the stream, and
-  // one scratch pool per shard ("engine replicas sharing one frozen
-  // PathSystem" — scratch contents never influence results, so shards are
-  // numerically invisible). Persisting these across epochs is what keeps
-  // a steady-state serving loop's memory flat at millions of entries.
+  // them), and a fixed chunk of solve slots recycled across the stream.
+  // Persisting these across epochs is what keeps a steady-state serving
+  // loop's memory flat at millions of entries.
   scale::BatchAggregator batch_agg_;
   std::vector<Rng> batch_streams_;
   std::vector<Demand> batch_slot_demands_;
   std::vector<RouteReport> batch_slot_reports_;
   std::vector<RouteReport> batch_group_reports_;
-  std::vector<runtime::ScratchPool> batch_shard_pools_;
   /// Pull-index -> aggregation group id, or -1 for a demand poisoned
   /// during ingest (kSkipAndReport only; -1 never appears under
   /// kFailFast, where ingest failures throw).

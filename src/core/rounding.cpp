@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "core/path_store.h"
 
@@ -53,7 +55,11 @@ IntegralSolution round_randomized(const Graph& g,
                                   const SemiObliviousSolution& fractional,
                                   Rng& rng, int trials,
                                   const std::vector<std::vector<int>>* seed_choices) {
-  assert(trials >= 1);
+  if (trials < 1) {
+    // Zero trials would return an empty choice set scored as congestion 0.
+    throw std::invalid_argument("round_randomized: trials must be >= 1 (got " +
+                                std::to_string(trials) + ")");
+  }
   // Seed and trials carry only their choices and loads; the winner gets the
   // commodities and candidates once, at the end.
   IntegralSolution best;

@@ -37,8 +37,10 @@ double integral_congestion(const Graph& g, IntegralSolution& solution);
 
 /// Lemma 6.3 randomized rounding: each demand unit independently picks a
 /// candidate proportional to the fractional weights; the best of `trials`
-/// independent roundings is returned. Requires an integral demand: every
-/// amount within kIntegralTolerance of an integer, which it is rounded to.
+/// independent roundings is returned; `trials` < 1 throws
+/// std::invalid_argument (every build type). Requires an integral demand:
+/// every amount within kIntegralTolerance of an integer, which it is
+/// rounded to.
 ///
 /// `seed_choices` (optional, warm start): per-commodity per-unit candidate
 /// indices from a previous epoch's integral solution. When non-null, one

@@ -4,7 +4,8 @@
 // demand entries, uninstalled pairs, stream read/truncation errors, bad
 // capacities, scratch-arena allocation failure, worker faults, a
 // disconnected graph under a tree or shortest-path backend, a path system
-// routed on a graph it is not bound to, a non-positive edge length — is
+// routed on a graph it is not bound to, a non-positive edge length, an
+// exact LP oracle that finds no optimum — is
 // thrown as a SorError carrying a stable {code, site, detail} triple. The
 // scale and scenario layers dispatch on `code` (BatchSpec::on_error,
 // scenario DegradePolicy) instead of string-matching what().
@@ -34,6 +35,7 @@ enum class ErrorCode {
   kInfiniteDistance = 8, ///< a backend's metric has a non-finite distance
   kGraphMismatch = 9,    ///< path system bound to another Graph object
   kBadLength = 10,       ///< non-finite or non-positive edge length
+  kLpNotOptimal = 11,    ///< an exact (simplex) oracle found no optimum
 };
 
 inline const char* error_code_name(ErrorCode code) {
@@ -49,6 +51,7 @@ inline const char* error_code_name(ErrorCode code) {
     case ErrorCode::kInfiniteDistance: return "infinite_distance";
     case ErrorCode::kGraphMismatch: return "graph_mismatch";
     case ErrorCode::kBadLength: return "bad_length";
+    case ErrorCode::kLpNotOptimal: return "lp_not_optimal";
   }
   return "unknown";
 }

@@ -1,7 +1,6 @@
 #include "lp/min_congestion.h"
 
 #include <algorithm>
-#include <cassert>
 #include <charconv>
 #include <chrono>
 #include <cmath>
@@ -94,6 +93,46 @@ double certified_gap(double congestion, double lower_bound) {
   return std::max(0.0, congestion / lower_bound - 1.0);
 }
 
+/// `what` must hold one entry per commodity; a mismatch would index past
+/// the shorter list.
+void require_per_commodity(std::size_t size, std::size_t commodities,
+                           const char* what, const char* site) {
+  if (size != commodities) {
+    throw SorError(ErrorCode::kMalformedDemand, site,
+                   std::string(site) + ": " + what + " has " +
+                       std::to_string(size) + " entries for " +
+                       std::to_string(commodities) + " commodities");
+  }
+}
+
+/// A positive-amount commodity must have a candidate to route on.
+void require_candidates(const std::vector<Commodity>& commodities,
+                        const FlatCandidates& candidates, const char* site) {
+  require_per_commodity(candidates.num_commodities(), commodities.size(),
+                        "the candidate list", site);
+  for (std::size_t j = 0; j < commodities.size(); ++j) {
+    if (commodities[j].amount > 0.0 && candidates.num_paths(j) == 0) {
+      throw SorError(ErrorCode::kUninstalledPair, site,
+                     std::string(site) + ": commodity (" +
+                         std::to_string(commodities[j].s) + ", " +
+                         std::to_string(commodities[j].t) +
+                         ") has a positive amount but no candidate paths");
+    }
+  }
+}
+
+/// The simplex result the exact oracles report from must be an optimum.
+void require_optimal(const LpSolution& solution, const char* site) {
+  if (solution.status != LpStatus::kOptimal) {
+    throw SorError(ErrorCode::kLpNotOptimal, site,
+                   std::string(site) + ": the simplex returned " +
+                       (solution.status == LpStatus::kInfeasible
+                            ? "infeasible"
+                            : "unbounded") +
+                       " instead of an optimum");
+  }
+}
+
 }  // namespace
 
 double congestion_of_weights(const Graph& g,
@@ -101,8 +140,21 @@ double congestion_of_weights(const Graph& g,
                              const FlatCandidates& candidates,
                              const std::vector<std::vector<double>>& weights,
                              std::vector<double>* edge_load) {
-  assert(candidates.num_commodities() == commodities.size());
-  assert(weights.size() == commodities.size());
+  constexpr const char* kSite = "congestion_of_weights";
+  require_per_commodity(candidates.num_commodities(), commodities.size(),
+                        "the candidate list", kSite);
+  require_per_commodity(weights.size(), commodities.size(), "the weight list",
+                        kSite);
+  for (std::size_t j = 0; j < commodities.size(); ++j) {
+    if (weights[j].size() != candidates.num_paths(j)) {
+      throw SorError(ErrorCode::kMalformedDemand, kSite,
+                     std::string(kSite) + ": commodity " + std::to_string(j) +
+                         " has " + std::to_string(weights[j].size()) +
+                         " weights for " +
+                         std::to_string(candidates.num_paths(j)) +
+                         " candidates");
+    }
+  }
   // Accumulate straight into the caller's vector when given one (assign
   // keeps its capacity; same accumulation order, identical values) so the
   // warm serving path never materializes a local load vector.
@@ -110,7 +162,6 @@ double congestion_of_weights(const Graph& g,
   std::vector<double>& load = edge_load ? *edge_load : local;
   load.assign(static_cast<std::size_t>(g.num_edges()), 0.0);
   for (std::size_t j = 0; j < commodities.size(); ++j) {
-    assert(weights[j].size() == candidates.num_paths(j));
     for (std::size_t i = 0; i < weights[j].size(); ++i) {
       if (weights[j][i] <= 0.0) continue;
       for (int e : candidates.edges(j, i)) {
@@ -165,10 +216,6 @@ namespace {
 //    max_e cumulative/(rounds * cap), the exit decision is derived from it
 //    instead: "no edge > bar" equals "!(max > bar)", since std::max skips
 //    a NaN exactly as `>` does, so one scan per round feeds all three.
-//
-// options.fast_math drops the remaining O(m) normalization terms (the
-// serial total and the expv fill); only the total's association changes —
-// the epsilon contract on MinCongestionOptions::fast_math.
 template <class Oracle>
 void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
              const MinCongestionOptions& options, MinCongestionScratch& sc,
@@ -214,7 +261,6 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
   touched.reserve(m);
   double max_log = 0.0;  // max over all-zero log_x
   double cached_max_log = std::numeric_limits<double>::quiet_NaN();
-  double untouched_value = 1.0;  // exp(0.0 - max_log)
 
   // ---- warm start (opt-in; see MwuWarmStart) -----------------------------
   // Seeding only replaces the starting log-weights; the NaN cached_max_log
@@ -271,14 +317,9 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
   int round = 0;
   for (round = 0; round < round_cap; ++round) {
     // Normalize x from log-space. Cached exps are exact reuses; edges with
-    // log_x still at +0.0 all take the one value untouched_value. Fast
-    // math never materializes that value per edge: expv holds active edges
-    // only, so its round cost is O(dirty + active), nothing O(m).
+    // log_x still at +0.0 all take the one value exp(0.0 - max_log).
     if (max_log != cached_max_log) {
-      untouched_value = std::exp(0.0 - max_log);
-      if (!options.fast_math) {
-        std::fill(expv.begin(), expv.end(), untouched_value);
-      }
+      std::fill(expv.begin(), expv.end(), std::exp(0.0 - max_log));
       refresh_exp(active);
       cached_max_log = max_log;
     } else {
@@ -286,35 +327,11 @@ void run_mwu(const Graph& g, const std::vector<Commodity>& commodities,
     }
     for (int e : dirty) is_dirty[static_cast<std::size_t>(e)] = 0;
     dirty.clear();
+    // The serial sum over every edge in index order, as the reference.
     double total = 0.0;
-    if (options.fast_math) {
-      // Segmented accumulator total: the (m - |active|) untouched edges
-      // fold into one product, the active mass sums in four interleaved
-      // lanes. This reassociation is the entirety of the fast-math
-      // epsilon contract.
-      const auto ex = [&](std::size_t a) {
-        return expv[static_cast<std::size_t>(active[a])];
-      };
-      double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-      std::size_t a = 0;
-      for (; a + 4 <= active.size(); a += 4) {
-        l0 += ex(a);
-        l1 += ex(a + 1);
-        l2 += ex(a + 2);
-        l3 += ex(a + 3);
-      }
-      for (; a < active.size(); ++a) l0 += ex(a);
-      total = static_cast<double>(m - active.size()) * untouched_value +
-              ((l0 + l1) + (l2 + l3));
-      oracle.refresh_lengths([&](std::size_t e) {
-        return (is_active[e] ? expv[e] : untouched_value) / total / cap[e];
-      });
-    } else {
-      // The serial sum over every edge in index order, as the reference.
-      for (std::size_t e = 0; e < m; ++e) total += expv[e];
-      oracle.refresh_lengths(
-          [&](std::size_t e) { return expv[e] / total / cap[e]; });
-    }
+    for (std::size_t e = 0; e < m; ++e) total += expv[e];
+    oracle.refresh_lengths(
+        [&](std::size_t e) { return expv[e] / total / cap[e]; });
 
     oracle.respond();
 
@@ -744,16 +761,9 @@ void min_congestion_over_paths_into(const Graph& g,
                                     const MinCongestionOptions& options,
                                     MinCongestionScratch& sc,
                                     CongestionResult& out) {
-  assert(candidates.num_commodities() == commodities.size());
+  require_candidates(commodities, candidates, "min_congestion_over_paths");
   out.path_weights.resize(commodities.size());
   for (std::size_t j = 0; j < commodities.size(); ++j) {
-    if (commodities[j].amount > 0.0 && candidates.num_paths(j) == 0) {
-      throw SorError(ErrorCode::kUninstalledPair, "min_congestion_over_paths",
-                     "min_congestion_over_paths: commodity (" +
-                         std::to_string(commodities[j].s) + ", " +
-                         std::to_string(commodities[j].t) +
-                         ") has a positive amount but no candidate paths");
-    }
     out.path_weights[j].assign(candidates.num_paths(j), 0.0);
   }
   RestrictedOracle oracle{g, commodities, candidates, sc};
@@ -791,7 +801,8 @@ CongestionResult min_congestion_free(const Graph& g,
 CongestionResult min_congestion_over_paths_exact(
     const Graph& g, const std::vector<Commodity>& commodities,
     const FlatCandidates& candidates) {
-  assert(candidates.num_commodities() == commodities.size());
+  constexpr const char* kSite = "min_congestion_over_paths_exact";
+  require_candidates(commodities, candidates, kSite);
   const std::size_t k = commodities.size();
 
   // Variables: one weight per (commodity, candidate path), then t (the
@@ -839,7 +850,7 @@ CongestionResult min_congestion_over_paths_exact(
   }
 
   const LpSolution solution = solve(lp);
-  assert(solution.status == LpStatus::kOptimal);
+  require_optimal(solution, kSite);
 
   CongestionResult result;
   result.path_weights.assign(k, {});
@@ -857,6 +868,32 @@ CongestionResult min_congestion_over_paths_exact(
 
 double min_congestion_free_exact(const Graph& g,
                                  const std::vector<Commodity>& commodities) {
+  constexpr const char* kSite = "min_congestion_free_exact";
+  // The MWU solve's input contract: every positive-amount commodity's
+  // target must be reachable (an unreachable one has no feasible flow).
+  const int n = g.num_vertices();
+  std::vector<int> dist;
+  int dist_source = -1;
+  for (const Commodity& c : commodities) {
+    if (!(c.amount > 0.0)) continue;
+    if (c.s < 0 || c.s >= n || c.t < 0 || c.t >= n) {
+      throw SorError(ErrorCode::kMalformedDemand, kSite,
+                     std::string(kSite) + ": commodity (" +
+                         std::to_string(c.s) + ", " + std::to_string(c.t) +
+                         ") names a vertex outside [0, " + std::to_string(n) +
+                         ")");
+    }
+    if (c.s != dist_source) {
+      dist = bfs_distances(g, c.s);
+      dist_source = c.s;
+    }
+    if (dist[static_cast<std::size_t>(c.t)] == kUnreachable) {
+      throw SorError(ErrorCode::kMalformedDemand, kSite,
+                     std::string(kSite) + ": target " + std::to_string(c.t) +
+                         " is unreachable from source " + std::to_string(c.s));
+    }
+  }
+
   // Edge-flow formulation with directed arc variables per commodity:
   // f_{j,a} >= 0 for both orientations a of every edge, conservation at all
   // vertices (net outflow d_j at s_j, -d_j at t_j, 0 elsewhere), capacity
@@ -909,7 +946,7 @@ double min_congestion_free_exact(const Graph& g,
   }
 
   const LpSolution solution = solve(lp);
-  assert(solution.status == LpStatus::kOptimal);
+  require_optimal(solution, kSite);
   return solution.objective;
 }
 

@@ -102,9 +102,8 @@ inline constexpr int kDeadlineCheckRounds = 16;
 ///  * Seeding only changes the solver's STARTING iterate. The returned
 ///    congestion is still the exact congestion of the routing actually
 ///    averaged, and the dual bound is still a valid lower bound on opt, so
-///    warm and cold results of the same instance cross-validate exactly like
-///    fast_math: lower_warm <= congestion_cold and lower_cold <=
-///    congestion_warm.
+///    warm and cold results of the same instance cross-validate:
+///    lower_warm <= congestion_cold and lower_cold <= congestion_warm.
 ///  * `log_x` must have one entry per edge of the solved graph and every
 ///    entry must be finite and >= 0 (MWU log-weights only grow from 0).
 ///    A size mismatch is ignored (the solve runs cold).
@@ -137,39 +136,6 @@ struct MinCongestionOptions {
   /// reads solver state, never writes it). Null (default) = no recording
   /// and no extra work.
   obs::ConvergenceSink* sink = nullptr;
-  /// Opt-in fast-math mode (default OFF). Replaces the exact mode's
-  /// O(m)-per-round serial total-sum of the adversary weights with a
-  /// segmented accumulator, in both solvers: the untouched-edge mass is
-  /// folded as one (count * value) product and the touched mass is summed
-  /// in four interleaved lanes, so the normalization no longer costs O(m)
-  /// (the restricted round cost becomes proportional to the demand
-  /// footprint; the free solver still refreshes all m lengths for
-  /// Dijkstra).
-  ///
-  /// Numerical contract (relaxes bit-identity, nothing else):
-  ///  * every per-edge quantity (exp weights, loads, the final congestion
-  ///    evaluation) is computed with the exact mode's arithmetic; ONLY the
-  ///    normalizing total sum_e x_e is accumulated in a different
-  ///    association, perturbing it by at most m * 2^-52 relative;
-  ///  * the perturbed lengths can flip the router's choice between paths
-  ///    whose lengths agree to within that perturbation — equally good
-  ///    best responses — so on tie-degenerate instances (unit-capacity
-  ///    tori/hypercubes) per-round path counts, and with them the averaged
-  ///    routing, may differ by a few round-granularity quanta;
-  ///  * BOTH runs remain exact certificates of the same LP: the returned
-  ///    congestion is the true congestion of the routing actually
-  ///    averaged, and the dual bound is a valid lower bound on opt up to a
-  ///    1 + m * 2^-52 factor. Hence lower_fast <= congestion_exact and
-  ///    lower_exact <= congestion_fast (cross-validity), and both
-  ///    congestions sit within the solver's convergence band of opt:
-  ///      |congestion_fast - congestion_exact|
-  ///          <= 0.05 * max(1, congestion_exact)
-  ///    on every supported instance (tests and bench_m5 enforce this band
-  ///    plus cross-validity; observed differences are ~1e-3, i.e. one or
-  ///    two flipped rounds out of hundreds).
-  /// The exact mode is the reference: fast-math outputs of either solver
-  /// may change between releases within this contract.
-  bool fast_math = false;
 };
 
 struct CongestionResult {
@@ -244,8 +210,9 @@ struct MinCongestionScratch {
 /// Fractional min-congestion routing of `commodities` where commodity j may
 /// only use its candidates in `candidates` (the flat, pre-resolved edge-id
 /// representation: no hashing, contiguous iteration). `candidates` must hold
-/// one commodity entry per commodity, in order; a commodity with amount > 0
-/// and no candidate throws SorError{kUninstalledPair} (every build type).
+/// one commodity entry per commodity, in order, else SorError
+/// {kMalformedDemand}; a commodity with amount > 0 and no candidate throws
+/// SorError{kUninstalledPair} (both checks hold in every build type).
 CongestionResult min_congestion_over_paths(
     const Graph& g, const std::vector<Commodity>& commodities,
     const FlatCandidates& candidates,
@@ -283,20 +250,27 @@ void min_congestion_free_into(const Graph& g,
 
 /// Exact LP (dense simplex) version of min_congestion_over_paths: the
 /// independent oracle the MWU is validated against. Intended for small
-/// instances; returns optimal congestion and weights.
+/// instances; returns optimal congestion and weights. Rejects the inputs
+/// the MWU solve rejects, with the same codes (site
+/// "min_congestion_over_paths_exact"), and throws SorError{kLpNotOptimal}
+/// if the simplex does not reach an optimum.
 CongestionResult min_congestion_over_paths_exact(
     const Graph& g, const std::vector<Commodity>& commodities,
     const FlatCandidates& candidates);
 
 /// Exact LP (edge-flow formulation) optimum over all paths; small instances
-/// only. Only `congestion` is populated (plus lower_bound == congestion).
+/// only. A positive-amount commodity whose target is unreachable from its
+/// source throws SorError{kMalformedDemand, "min_congestion_free_exact"}; a
+/// simplex that does not reach an optimum throws SorError{kLpNotOptimal}.
 double min_congestion_free_exact(const Graph& g,
                                  const std::vector<Commodity>& commodities);
 
 /// Exact congestion (max_e load/cap) of explicit per-commodity path weights
 /// over flat candidates. A non-null `edge_load` is written IN PLACE (assign +
 /// accumulate, capacity retained) — allocation-free once the caller's vector
-/// is warm.
+/// is warm. `candidates` and `weights` must each hold one entry per
+/// commodity, and weights[j] one weight per candidate of commodity j, else
+/// SorError{kMalformedDemand} (every build type).
 double congestion_of_weights(const Graph& g,
                              const std::vector<Commodity>& commodities,
                              const FlatCandidates& candidates,

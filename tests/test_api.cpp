@@ -6,10 +6,13 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "fault/sor_error.h"
 #include "graph/generators.h"
 #include "oblivious/valiant.h"
+#include "scale/demand_source.h"
 
 namespace sor {
 namespace {
@@ -247,6 +250,53 @@ TEST(SorEngine, RoundingAndPacketSimulation) {
   const RouteReport frac_report = engine.route(fractional, spec);
   EXPECT_FALSE(frac_report.integral.has_value());
   EXPECT_FALSE(frac_report.simulation.has_value());
+}
+
+TEST(SorEngine, RoundingTrialsBelowOneAreRejectedBeforeAnySolve) {
+  // Zero trials used to score an empty choice set: integral congestion 0
+  // with no unit routed, in builds without asserts.
+  const int dim = 4;
+  const Demand d = gen::bit_reversal_demand(dim);
+  auto engine_for = [&] {
+    SorEngine engine = SorEngine::build(gen::hypercube(dim), "valiant", 9);
+    engine.install_paths(SamplingSpec::for_demand(d, 4));
+    return engine;
+  };
+  SorEngine engine = engine_for();
+  const std::vector<Demand> batch = {d, d};
+  for (const int trials : {0, -3}) {
+    for (const bool simulate : {false, true}) {
+      SCOPED_TRACE("trials=" + std::to_string(trials) +
+                   " simulate=" + std::to_string(simulate));
+      RouteSpec spec;
+      spec.round_integral = !simulate;
+      spec.simulate_packets = simulate;
+      spec.rounding_trials = trials;
+      EXPECT_THROW(engine.route(d, spec), std::invalid_argument);
+      RouteReport out;
+      EXPECT_THROW(engine.route_into(d, spec, out), std::invalid_argument);
+      EXPECT_THROW(engine.route_batch(batch, spec), std::invalid_argument);
+      scale::SpanDemandSource source(batch);
+      EXPECT_THROW(engine.route_batch(source, spec, BatchSpec{}),
+                   std::invalid_argument);
+    }
+    // Without rounding the trial count is never read.
+    RouteSpec fractional_only;
+    fractional_only.rounding_trials = trials;
+    EXPECT_NO_THROW(engine.route(d, fractional_only));
+  }
+  // Nothing was drawn from the engine stream by the rejected calls (the
+  // fractional-only routes draw nothing): the next rounded route matches a
+  // fresh engine's.
+  RouteSpec rounded;
+  rounded.round_integral = true;
+  const RouteReport after = engine.route(d, rounded);
+  SorEngine fresh = engine_for();
+  const RouteReport reference = fresh.route(d, rounded);
+  ASSERT_TRUE(after.integral && reference.integral);
+  EXPECT_EQ(after.integral->choices, reference.integral->choices);
+  EXPECT_EQ(after.integral->congestion, reference.integral->congestion);
+  EXPECT_GT(after.integral->congestion, 0.0);
 }
 
 TEST(SorEngine, ShortestPathBackendsThrowOnDisconnectedGraphs) {

@@ -141,16 +141,14 @@ struct Tier {
   MinCongestionOptions options;
 };
 
-/// Cold, fast_math, round-budgeted and warm-seeded variants of `base`.
-std::vector<Tier> four_tiers(const MinCongestionOptions& base,
-                             const MwuWarmStart& warm) {
-  std::vector<Tier> tiers(4, Tier{"cold", base});
-  tiers[1].name = "fast_math";
-  tiers[1].options.fast_math = true;
-  tiers[2].name = "max_rounds=40";
-  tiers[2].options.budget.max_rounds = 40;
-  tiers[3].name = "warm";
-  tiers[3].options.warm = &warm;
+/// Cold, round-budgeted and warm-seeded variants of `base`.
+std::vector<Tier> three_tiers(const MinCongestionOptions& base,
+                              const MwuWarmStart& warm) {
+  std::vector<Tier> tiers(3, Tier{"cold", base});
+  tiers[1].name = "max_rounds=40";
+  tiers[1].options.budget.max_rounds = 40;
+  tiers[2].name = "warm";
+  tiers[2].options.warm = &warm;
   return tiers;
 }
 
@@ -218,7 +216,7 @@ TEST_P(MwuVsSimplexSweep, RestrictedMwuNearExact) {
   min_congestion_over_paths(g, other_demand, other_paths, capture);
   ASSERT_EQ(captured.size(), static_cast<std::size_t>(g.num_edges()));
   const MwuWarmStart warm{captured, 1.0};
-  for (const Tier& tier : four_tiers(options, warm)) {
+  for (const Tier& tier : three_tiers(options, warm)) {
     expect_sandwich(
         min_congestion_over_paths(g, demand, paths, tier.options),
         exact.congestion, tier.name);
@@ -258,7 +256,7 @@ TEST_P(FreeMwuVsSimplexSweep, EveryTierBracketsTheEdgeFlowLp) {
   min_congestion_free(g, random_free_demand(n, rng), capture);
   ASSERT_EQ(captured.size(), static_cast<std::size_t>(g.num_edges()));
   const MwuWarmStart warm{captured, 1.0};
-  for (const Tier& tier : four_tiers(MinCongestionOptions{}, warm)) {
+  for (const Tier& tier : three_tiers(MinCongestionOptions{}, warm)) {
     expect_sandwich(min_congestion_free(g, demand, tier.options), lp_star,
                     tier.name);
   }
@@ -305,6 +303,81 @@ TEST(MinCongestion, FreeUnreachableTargetIsATypedError) {
   }
   // The reachable part alone solves normally.
   EXPECT_NEAR(min_congestion_free(g, {{0, 1, 1.0}}).congestion, 1.0, 1e-9);
+}
+
+/// Runs `call`, which must throw SorError{code, site}.
+template <class Call>
+void expect_sor_error(Call call, ErrorCode code, const std::string& site) {
+  try {
+    call();
+    ADD_FAILURE() << "expected SorError at " << site;
+  } catch (const SorError& e) {
+    EXPECT_EQ(e.code(), code) << error_code_name(e.code());
+    EXPECT_EQ(e.site(), site);
+  }
+}
+
+TEST(MinCongestion, ExactOraclesRejectWhatTheMwuSolversReject) {
+  // Restricted: a positive-amount commodity without candidates used to
+  // solve to congestion 0 (the LP simply had no row for it).
+  Graph path(3);
+  path.add_edge(0, 1);
+  path.add_edge(1, 2);
+  const FlatCandidates paths = intern_candidates(path, {{{0, 1}}, {}});
+  expect_sor_error(
+      [&] {
+        min_congestion_over_paths_exact(path, {{0, 1, 1.0}, {1, 2, 5.0}},
+                                        paths);
+      },
+      ErrorCode::kUninstalledPair, "min_congestion_over_paths_exact");
+  // A zero-amount commodity may have none, exactly as in the MWU solve.
+  EXPECT_NEAR(min_congestion_over_paths_exact(path, {{0, 1, 1.0}, {1, 2, 0.0}},
+                                              paths)
+                  .congestion,
+              1.0, 1e-9);
+
+  // Free: an unreachable target used to solve to congestion 0.
+  Graph two(4);
+  two.add_edge(0, 1);
+  two.add_edge(2, 3);
+  expect_sor_error(
+      [&] { min_congestion_free_exact(two, {{0, 1, 1.0}, {0, 3, 2.0}}); },
+      ErrorCode::kMalformedDemand, "min_congestion_free_exact");
+  expect_sor_error([&] { min_congestion_free_exact(two, {{0, 7, 1.0}}); },
+                   ErrorCode::kMalformedDemand, "min_congestion_free_exact");
+  EXPECT_NEAR(min_congestion_free_exact(two, {{0, 1, 1.0}, {0, 3, 0.0}}), 1.0,
+              1e-9);
+}
+
+TEST(MinCongestion, CommodityCountMismatchIsATypedError) {
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  // Two commodities, one candidate entry: used to read past the list.
+  const FlatCandidates one = intern_candidates(g, {{{0, 1}}});
+  const std::vector<Commodity> two = {{0, 1, 1.0}, {1, 2, 1.0}};
+  expect_sor_error([&] { min_congestion_over_paths(g, two, one); },
+                   ErrorCode::kMalformedDemand, "min_congestion_over_paths");
+  MinCongestionScratch scratch;
+  CongestionResult out;
+  expect_sor_error(
+      [&] { min_congestion_over_paths_into(g, two, one, {}, scratch, out); },
+      ErrorCode::kMalformedDemand, "min_congestion_over_paths");
+  expect_sor_error([&] { min_congestion_over_paths_exact(g, two, one); },
+                   ErrorCode::kMalformedDemand,
+                   "min_congestion_over_paths_exact");
+  expect_sor_error([&] { congestion_of_weights(g, two, one, {{1.0}, {1.0}}); },
+                   ErrorCode::kMalformedDemand, "congestion_of_weights");
+
+  // Matching candidates, mismatched weights: too few commodities' worth,
+  // and the wrong count for one commodity.
+  const FlatCandidates both = intern_candidates(g, {{{0, 1}}, {{1, 2}}});
+  expect_sor_error([&] { congestion_of_weights(g, two, both, {{1.0}}); },
+                   ErrorCode::kMalformedDemand, "congestion_of_weights");
+  expect_sor_error(
+      [&] { congestion_of_weights(g, two, both, {{1.0}, {1.0, 0.0}}); },
+      ErrorCode::kMalformedDemand, "congestion_of_weights");
+  EXPECT_NEAR(congestion_of_weights(g, two, both, {{1.0}, {2.0}}), 2.0, 1e-12);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "candidate_lists.h"
 #include "graph/generators.h"
@@ -55,6 +56,19 @@ TEST(Rounding, AcceptsEveryAmountTheEngineCallsIntegral) {
   ASSERT_EQ(integral.choices.size(), 2u);
   EXPECT_EQ(integral.choices[0].size(), 2u);
   EXPECT_EQ(integral.choices[1].size(), 1u);
+}
+
+TEST(Rounding, FewerThanOneTrialIsRejected) {
+  const Graph g = gen::grid(3, 4);
+  RandomShortestPathRouting routing(g);
+  Rng rng(5);
+  Demand d;
+  d.set(0, 11, 2.0);
+  const auto fractional = routed_instance(g, routing, d, 3, rng);
+  for (const int trials : {0, -3}) {
+    EXPECT_THROW(round_randomized(g, fractional, rng, trials),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Rounding, CongestionIsConsistent) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "api/sor_engine.h"
 #include "core/path_store.h"
 #include "core/path_system.h"
+#include "fault/fault_plan.h"
 #include "graph/generators.h"
 #include "oblivious/shortest_path_routing.h"
 #include "runtime/alloc_stats.h"
@@ -209,25 +212,125 @@ SorEngine small_engine(int threads = 1) {
   return SorEngine::build(gen::hypercube(4), "valiant", /*seed=*/5, threads);
 }
 
-TEST(Runtime, RouteIntoMatchesRouteBitForBit) {
-  SorEngine engine = small_engine();
-  Rng rng(3);
-  const Demand d = gen::random_permutation_demand(16, rng);
-  engine.install_paths(SamplingSpec::for_demand(d, 4));
-
-  const RouteReport a = engine.route(d);
-  RouteReport b;
-  engine.route_into(d, {}, b);
+void expect_same_report(const RouteReport& a, const RouteReport& b) {
   EXPECT_EQ(a.congestion, b.congestion);
   EXPECT_EQ(a.competitive_ratio, b.competitive_ratio);
   EXPECT_EQ(a.opt_lower_bound, b.opt_lower_bound);
-  ASSERT_TRUE(a.optimum && b.optimum);
-  EXPECT_EQ(a.optimum->lower, b.optimum->lower);
-  EXPECT_EQ(a.optimum->upper, b.optimum->upper);
+  ASSERT_EQ(a.optimum.has_value(), b.optimum.has_value());
+  if (a.optimum) {
+    EXPECT_EQ(a.optimum->lower, b.optimum->lower);
+    EXPECT_EQ(a.optimum->upper, b.optimum->upper);
+  }
   EXPECT_EQ(a.solution.edge_load, b.solution.edge_load);
   EXPECT_EQ(a.solution.weights, b.solution.weights);
   EXPECT_EQ(a.solution.paths, b.solution.paths);
   EXPECT_EQ(a.solution.max_hops, b.solution.max_hops);
+  EXPECT_EQ(a.solution.rounds_used, b.solution.rounds_used);
+  EXPECT_EQ(a.warm.enabled, b.warm.enabled);
+  EXPECT_EQ(a.warm.hit, b.warm.hit);
+  EXPECT_EQ(a.warm.replayed, b.warm.replayed);
+  EXPECT_EQ(a.warm.rounds_saved, b.warm.rounds_saved);
+  EXPECT_EQ(a.warm.scale, b.warm.scale);
+}
+
+/// What one call of a serving sequence did: its report, or the code of the
+/// SorError it threw (-1 = returned normally, -2 = another exception).
+struct CallOutcome {
+  int error = -1;
+  RouteReport report;
+};
+
+/// Serves `demands` in order through route() (use_into = false) or
+/// route_into() on a fresh engine, under `plan_text` when non-empty.
+std::vector<CallOutcome> serve(bool use_into, const std::vector<Demand>& demands,
+                               const RouteSpec& spec,
+                               const std::string& plan_text) {
+  SorEngine engine = small_engine();
+  engine.install_paths(SamplingSpec::for_demands(demands, 4));
+  if (!plan_text.empty()) {
+    engine.set_fault_plan(std::make_shared<fault::FaultPlan>(
+        *fault::FaultPlan::parse(plan_text)));
+  }
+  std::vector<CallOutcome> out(demands.size());
+  RouteReport reused;
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    try {
+      if (use_into) {
+        engine.route_into(demands[i], spec, reused);
+        out[i].report = reused;
+      } else {
+        out[i].report = engine.route(demands[i], spec);
+      }
+    } catch (const SorError& err) {
+      out[i].error = static_cast<int>(err.code());
+    } catch (const std::exception&) {
+      out[i].error = -2;
+    }
+  }
+  return out;
+}
+
+TEST(Runtime, RouteIntoMatchesRouteBitForBit) {
+  Rng rng(3);
+  const Demand d = gen::random_permutation_demand(16, rng);
+  Demand nearby = d;
+  nearby.set(0, 15, 3.0);  // overlapping support: a seeded warm route
+  const std::vector<Demand> demands = {d, nearby, nearby, d};
+
+  RouteSpec warm;
+  warm.warm_start = true;
+  // Cold and warm sequences, with and without a scratch_alloc fault on the
+  // second call: both entry points must return the same reports and fail
+  // at the same calls, i.e. visit the same fault sites.
+  for (const RouteSpec& spec : {RouteSpec{}, warm}) {
+    for (const std::string plan : {"", "scratch_alloc@2"}) {
+      SCOPED_TRACE("warm=" + std::to_string(spec.warm_start) + " plan=" +
+                   plan);
+      const auto a = serve(false, demands, spec, plan);
+      const auto b = serve(true, demands, spec, plan);
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(i);
+        const int expected =
+            (!plan.empty() && i == 1)
+                ? static_cast<int>(ErrorCode::kScratchAlloc)
+                : -1;
+        EXPECT_EQ(a[i].error, expected);
+        EXPECT_EQ(b[i].error, expected);
+        if (a[i].error == -1 && b[i].error == -1) {
+          expect_same_report(a[i].report, b[i].report);
+        }
+      }
+      if (spec.warm_start && plan.empty()) {
+        EXPECT_TRUE(a[1].report.warm.hit);       // seeded from call 0
+        EXPECT_TRUE(a[2].report.warm.replayed);  // bit-identical instance
+      }
+    }
+  }
+
+  // The installed-pair check runs before the fault site, so a rejected
+  // demand consumes no scratch_alloc visit in either entry point.
+  for (bool use_into : {false, true}) {
+    SorEngine engine = small_engine();
+    engine.install_paths(SamplingSpec::for_demand(d, 4));
+    engine.set_fault_plan(std::make_shared<fault::FaultPlan>(
+        *fault::FaultPlan::parse("scratch_alloc@1")));
+    int t = 1;
+    while (engine.paths().has_pair(0, t)) ++t;  // d has one pair from 0
+    Demand uninstalled;
+    uninstalled.set(0, t, 1.0);
+    RouteReport rejected;
+    EXPECT_THROW(use_into ? (void)engine.route_into(uninstalled, {}, rejected)
+                          : (void)engine.route(uninstalled),
+                 std::invalid_argument);
+    try {
+      RouteReport out;
+      use_into ? (void)engine.route_into(d, {}, out) : (void)engine.route(d);
+      ADD_FAILURE() << "expected the first scratch_alloc visit to fire";
+    } catch (const SorError& err) {
+      EXPECT_EQ(err.code(), ErrorCode::kScratchAlloc);
+    }
+  }
 }
 
 TEST(Runtime, WarmRouteIntoIsAllocationFree) {

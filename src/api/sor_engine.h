@@ -368,9 +368,9 @@ class SorEngine {
   /// place (capacities retained) with exactly what route() would return —
   /// route() is a thin wrapper over this, and this is the one entry point
   /// that checks the installed pairs and visits the scratch_alloc fault
-  /// site before dispatching to the warm or cold pipeline. Together with the engine's
-  /// internal scratch pool this makes a steady-state serving loop
-  /// allocation-free after warm-up; `out.mem` reports the measured
+  /// site before dispatching to the warm or cold pipeline. Together with
+  /// the engine's internal scratch pool this makes a steady-state serving
+  /// loop allocation-free after warm-up; `out.mem` reports the measured
   /// allocation delta of each call. Returns `out`.
   RouteReport& route_into(const Demand& demand, const RouteSpec& spec,
                           RouteReport& out);
